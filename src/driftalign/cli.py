@@ -146,6 +146,11 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
                     raise UsageError(f"config key {key}: {err}") from None
             else:
                 value = raw
+            if action.choices is not None and value not in action.choices:
+                raise UsageError(
+                    f"config key {key}: invalid choice {value!r} "
+                    f"(choose from {', '.join(map(str, action.choices))})"
+                )
             setattr(args, key, value)
     return args
 

@@ -31,12 +31,14 @@ class MeanState:
     """Running mean over the subspaces absorbed so far.
 
     ``count`` is the number of subspaces absorbed; ``prev_mean`` is the
-    mean before the most recent update (absent until the second one).
+    mean before the most recent update (absent until the second one), and
+    ``step`` the geodesic distance from it to ``mean`` (0 until then).
     """
 
     mean: Subspace
     prev_mean: Subspace | None
     count: int
+    step: float = 0.0
 
 
 def init_mean(p_first: Subspace) -> MeanState:
@@ -50,7 +52,8 @@ def icms_update(state: MeanState, p_new: Subspace) -> MeanState:
     With n = state.count + 1, the new mean is the point at t = 1/n on the
     geodesic from the current mean (t=0) to ``p_new`` (t=1), which splits
     the arc in the ratio 1 : (n-1). The result basis is re-orthonormalized
-    so that arbitrarily long streams cannot accumulate drift.
+    so that arbitrarily long streams cannot accumulate drift. The step
+    length is read off the same principal angles: ||theta|| / n.
 
     Raises:
         CutLocusError: if the new subspace is at the cut locus of the mean.
@@ -60,7 +63,12 @@ def icms_update(state: MeanState, p_new: Subspace) -> MeanState:
     u1, _, theta, h = _thin_components(state.mean, p_new)
     _check_cut_locus(theta, "icms_update")
     new_mean = _thin_flow_point(state.mean, u1, theta, h, 1.0 / n)
-    return MeanState(mean=new_mean, prev_mean=state.mean, count=n)
+    return MeanState(
+        mean=new_mean,
+        prev_mean=state.mean,
+        count=n,
+        step=float(np.linalg.norm(theta)) / n,
+    )
 
 
 @dataclass(frozen=True, eq=False)

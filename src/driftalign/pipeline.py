@@ -57,6 +57,8 @@ class StreamBatch:
         features = np.asarray(self.features, dtype=float)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
+        if not np.isfinite(features).all():
+            raise ValueError("features contain non-finite values")
         object.__setattr__(self, "features", features)
         if self.labels is not None:
             labels = np.asarray(self.labels)
@@ -219,18 +221,33 @@ def _confident_rows(
     return margin >= threshold
 
 
-def _aligned_view(classifier: Classifier, align_map: np.ndarray | None) -> Classifier:
-    """The classifier carried through the same map the batch went through.
+def _aligned_view(
+    classifier: Classifier, maps: tuple[TransformMatrix, ...]
+) -> Classifier:
+    """The classifier carried through the same maps the batch went through.
 
     Source and target must be transformed consistently for the alignment
     scale to be immaterial to nearest-class-mean decisions, so the stored
-    (raw-space) centroids are viewed through the batch's full alignment
-    map at decision time. Linear-margin weights already live on the raw
-    side of the map (score w . (x A) = (A w) . x), so they pass unchanged.
+    (raw-space) centroids are passed through the batch's alignment maps, in
+    order, at decision time; the d x d product of the maps is never formed.
+    Linear-margin weights already live on the raw side of the map (score
+    w . (x A) = (A w) . x), so they pass unchanged.
     """
-    if align_map is None or classifier.kind == LINEAR_MARGIN:
+    if classifier.kind == LINEAR_MARGIN:
         return classifier
-    return replace(classifier, centroids=classifier.centroids @ align_map)
+    centroids = classifier.centroids
+    for transform in maps:
+        centroids = apply_transform(centroids, transform)
+    return replace(classifier, centroids=centroids)
+
+
+def _baseline_mean_state(
+    previous: MeanState | None, mean: Subspace, n: int
+) -> MeanState:
+    """Mean state of a baseline whose mean does not come from icms_update."""
+    prev = previous.mean if previous is not None else None
+    step = geodesic_distance(prev, mean) if prev is not None else 0.0
+    return MeanState(mean=mean, prev_mean=prev, count=n, step=step)
 
 
 def _batch_accuracy(y_hat: np.ndarray, labels: np.ndarray | None) -> float | None:
@@ -293,42 +310,36 @@ def process_batch(
                 )
             else:
                 transform = gfk_transform(state.source_subspace, mean_state.mean)
+            # Both closed forms carry the (source, mean) angles they used.
+            dist_source = float(np.linalg.norm(transform.theta))
         elif cfg.mean_method == MEAN_KARCHER:
             seen = state.seen_subspaces + (observed,)
             result = karcher_mean(
                 seen, tol=cfg.karcher_tol, max_iter=cfg.karcher_max_iter
             )
-            prev = state.mean_state.mean if state.mean_state else None
-            mean_state = MeanState(mean=result.subspace, prev_mean=prev, count=n)
+            mean_state = _baseline_mean_state(state.mean_state, result.subspace, n)
             avg_transform = None
             transform = gfk_transform(state.source_subspace, mean_state.mean)
+            dist_source = geodesic_distance(state.source_subspace, mean_state.mean)
         else:  # transform-average: the mean lives on the matrices, not the manifold
             seen = ()
-            prev = state.mean_state.mean if state.mean_state else None
-            mean_state = MeanState(mean=observed, prev_mean=prev, count=n)
+            mean_state = _baseline_mean_state(state.mean_state, observed, n)
             batch_transform = gfk_transform(state.source_subspace, observed)
             avg_transform = incremental_average_transform(
                 state.avg_transform, batch_transform, n
             )
             transform = avg_transform
+            dist_source = geodesic_distance(state.source_subspace, mean_state.mean)
 
         x_aligned = apply_transform(aligned, transform)
-        align_map = (
-            state.feedback_transform.g @ transform.g
-            if cfg.use_feedback
-            else transform.g
+        maps = (
+            (state.feedback_transform, transform) if cfg.use_feedback else (transform,)
         )
-        view = _aligned_view(state.classifier, align_map)
+        view = _aligned_view(state.classifier, maps)
         y_hat = classify(view, x_aligned)
-        dist_source = geodesic_distance(state.source_subspace, mean_state.mean)
-        dist_step = (
-            geodesic_distance(mean_state.prev_mean, mean_state.mean)
-            if mean_state.prev_mean is not None
-            else 0.0
-        )
         return _finalize(
             state, batch, cfg, y_hat, mean_state, transform,
-            avg_transform, seen, dist_source, dist_step, started,
+            avg_transform, seen, dist_source, mean_state.step, started,
             view=view, x_aligned=x_aligned,
         )
     except CutLocusError as err:

@@ -86,12 +86,14 @@ def load_csv_stream(
 
     Rows are d float feature columns followed by one integer label column;
     an optional single header line is skipped when ``spec.has_header``.
-    Parse failures name the 1-based file row and column.
+    Parse failures, non-finite feature cells included, name the 1-based
+    file row and column.
     """
     path = Path(path)
     d = spec.feature_dim
     features: list[list[float]] = []
     labels: list[int] = []
+    row_numbers: list[int] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         for row_number, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
@@ -124,12 +126,18 @@ def load_csv_stream(
                 )
             features.append(row)
             labels.append(label)
+            row_numbers.append(row_number)
 
     x = np.array(features, dtype=float)
     y = np.array(labels, dtype=int)
     total = x.shape[0]
     if total == 0:
         raise CsvParseError("file contains no data rows", 1)
+    if not np.isfinite(x).all():
+        i, j = np.argwhere(~np.isfinite(x))[0]
+        raise CsvParseError(
+            f"non-finite feature value {float(x[i, j])}", row_numbers[i], int(j) + 1
+        )
     if spec.total_rows is not None and total != spec.total_rows:
         raise CsvParseError(
             f"expected {spec.total_rows} data rows, found {total}", total

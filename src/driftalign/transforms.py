@@ -22,12 +22,17 @@ assuming the principal angles change linearly along the sweep. Its delta
 blocks are the exact integrals of the second-order small-angle expansions
 of the lambda blocks, so the closed form is a small-angle approximation:
 accurate to O(theta^2) relative error and indefinite for large angles.
+
+Both closed forms are kept factored, G = L C L^T with L = [P U3, H]
+(d x 2k) and the symmetric block-diagonal core C (2k x 2k), and applied as
+((x L) C) L^T in O(n d k) instead of O(n d^2). The dense d x d matrix is
+built only when asked for. The identity, the Simpson oracle and the
+running average of matrices have no such factors and are stored dense.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +49,6 @@ from .grassmann import (
     _flow_basis,
     _thin_components,
     geodesic,
-    principal_angles,
 )
 
 logger = logging.getLogger(__name__)
@@ -58,14 +62,24 @@ SMALL_ANGLE = 1e-4
 DIRECTION_MISMATCH_LIMIT = 0.3
 
 
-@dataclass(frozen=True, eq=False)
 class TransformMatrix:
-    """A d x d symmetric alignment matrix applied to feature rows as x @ g."""
+    """A d x d symmetric alignment matrix G applied to feature rows as x @ G.
 
-    g: np.ndarray
+    How the transform was made picks its form. The closed forms
+    (:func:`gfk_transform`, :func:`cumulative_transform`) come from
+    :meth:`factored` and keep G = left @ core @ left.T, with ``left`` d x 2k
+    and ``core`` 2k x 2k symmetric, plus the principal angles ``theta`` of
+    the source-to-target pair they were built from. Constructing from a
+    d x d array (the identity, the Simpson oracle, the running average of
+    matrices) keeps that array; ``left``, ``core`` and ``theta`` are then
+    None. ``g`` is the dense matrix in either form, built from the factors
+    on first access and cached.
+    """
 
-    def __post_init__(self):
-        g = np.array(self.g, dtype=float, copy=True, order="C")
+    __slots__ = ("left", "core", "theta", "_g")
+
+    def __init__(self, g: np.ndarray):
+        g = np.array(g, dtype=float, copy=True, order="C")
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"transform must be square, got shape {g.shape}")
         if not np.isfinite(g).all():
@@ -74,11 +88,52 @@ class TransformMatrix:
             raise ValueError("transform is not symmetric within 1e-9")
         g = 0.5 * (g + g.T)
         g.setflags(write=False)
-        object.__setattr__(self, "g", g)
+        self._set(left=None, core=None, theta=None, _g=g)
+
+    @classmethod
+    def factored(
+        cls, left: np.ndarray, core: np.ndarray, theta: np.ndarray | None = None
+    ) -> "TransformMatrix":
+        """The transform left @ core @ left.T, kept as its factors."""
+        left = np.array(left, dtype=float, copy=True, order="C")
+        core = np.array(core, dtype=float, copy=True, order="C")
+        if left.ndim != 2 or core.shape != (left.shape[1], left.shape[1]):
+            raise ValueError(
+                f"factor shapes {left.shape} and {core.shape} do not chain"
+            )
+        if not (np.isfinite(left).all() and np.isfinite(core).all()):
+            raise ValueError("transform factors contain non-finite entries")
+        if np.abs(core - core.T).max() > 1e-9:
+            raise ValueError("transform core is not symmetric within 1e-9")
+        core = 0.5 * (core + core.T)
+        if theta is not None:
+            theta = np.array(theta, dtype=float)
+        for array in (left, core, theta):
+            if array is not None:
+                array.setflags(write=False)
+        transform = cls.__new__(cls)
+        transform._set(left=left, core=core, theta=theta, _g=None)
+        return transform
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TransformMatrix is immutable; cannot set {name!r}")
+
+    @property
+    def g(self) -> np.ndarray:
+        if self._g is None:
+            g = self.left @ self.core @ self.left.T
+            g = 0.5 * (g + g.T)
+            g.setflags(write=False)
+            self._set(_g=g)
+        return self._g
 
     @property
     def dim(self) -> int:
-        return self.g.shape[0]
+        return (self._g if self.left is None else self.left).shape[0]
 
     @classmethod
     def identity(cls, d: int) -> "TransformMatrix":
@@ -141,8 +196,9 @@ def _sandwich(
     u3: np.ndarray,
     h: np.ndarray,
     blocks: tuple[np.ndarray, np.ndarray, np.ndarray],
+    theta: np.ndarray | None = None,
 ) -> TransformMatrix:
-    """Assemble [P U3, H] diag-block core [.]^T and symmetrize roundoff.
+    """The factored transform [P U3, H] diag-block core [.]^T.
 
     H carries the ambient sine directions R U4[:, :k]; the trailing
     d - 2k columns of the full U4 never contribute because the core
@@ -153,8 +209,7 @@ def _sandwich(
     core = np.block(
         [[np.diag(b1), np.diag(b2)], [np.diag(b2), np.diag(b3)]]
     )
-    g = left @ core @ left.T
-    return TransformMatrix(0.5 * (g + g.T))
+    return TransformMatrix.factored(left, core, theta)
 
 
 def _check_below_cut_locus(theta: np.ndarray, what: str) -> None:
@@ -168,7 +223,7 @@ def gfk_transform(p_source: Subspace, p_target: Subspace) -> TransformMatrix:
     """Closed-form alignment matrix for the source-to-target geodesic."""
     u3, _, theta, h = _thin_components(p_source, p_target)
     _check_below_cut_locus(theta, "gfk_transform")
-    return _sandwich(p_source, u3, h, lambda_blocks(theta))
+    return _sandwich(p_source, u3, h, lambda_blocks(theta), theta)
 
 
 def quadrature_transform(
@@ -209,16 +264,20 @@ def cumulative_transform(
     the principal directions of the two decompositions differ by more than
     0.3 rad this pairing is a rough approximation and a warning is logged.
     """
-    theta0 = principal_angles(p_source, p_mean_prev)
+    u3_prev, _, theta0, _ = _thin_components(p_source, p_mean_prev)
     _check_below_cut_locus(theta0, "cumulative_transform (source vs previous mean)")
+    # Only the largest (prev, cur) angle matters here, and the cosine route
+    # is exact near pi/2.
+    cos_step = np.linalg.svd(
+        p_mean_prev.basis.T @ p_mean_cur.basis, compute_uv=False
+    )
     _check_below_cut_locus(
-        principal_angles(p_mean_prev, p_mean_cur),
+        np.arccos(np.clip(cos_step, 0.0, 1.0)),
         "cumulative_transform (previous vs current mean)",
     )
     u3, _, theta1, h = _thin_components(p_source, p_mean_cur)
     _check_below_cut_locus(theta1, "cumulative_transform (source vs current mean)")
 
-    u3_prev, _, _ = np.linalg.svd(p_source.basis.T @ p_mean_prev.basis)
     # Per-column mismatch between the paired principal directions, sign
     # ambiguity removed; columns of both factors are angle-sorted.
     matched = np.abs(np.einsum("ij,ij->j", u3_prev, u3))
@@ -232,7 +291,7 @@ def cumulative_transform(
             DIRECTION_MISMATCH_LIMIT,
         )
 
-    return _sandwich(p_source, u3, h, delta_blocks(theta0, theta1))
+    return _sandwich(p_source, u3, h, delta_blocks(theta0, theta1), theta1)
 
 
 def apply_transform(x: np.ndarray, transform: TransformMatrix) -> np.ndarray:
@@ -243,4 +302,6 @@ def apply_transform(x: np.ndarray, transform: TransformMatrix) -> np.ndarray:
             f"batch of shape {x.shape} cannot be multiplied by a "
             f"{transform.dim} x {transform.dim} transform"
         )
-    return x @ transform.g
+    if transform.left is None:
+        return x @ transform.g
+    return ((x @ transform.left) @ transform.core) @ transform.left.T

@@ -375,7 +375,7 @@ def test_criterion_9_variant_reduction_trace():
         )
         transform = gfk_transform(source, mean_state.mean)
         aligned = apply_transform(batch.features, transform)
-        expected = classify(_aligned_view(classifier, transform.g), aligned)
+        expected = classify(_aligned_view(classifier, (transform,)), aligned)
 
         assert np.array_equal(y_hat, expected)
         worst = max(

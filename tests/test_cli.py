@@ -87,6 +87,18 @@ class TestRun:
         cfg.write_text("banana=1\n")
         assert run_cli("run", "--config", str(cfg), "--generate", "stationary") == 1
 
+    def test_config_value_outside_choices_is_usage_error(self, tmp_path, capsys):
+        # File values go through the same choices check as flags.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("classifier=nope\n")
+        code = run_cli(
+            "run", "--config", str(cfg), "--generate", "stationary",
+            "--feature-dim", "20", "--batches", "4", "--batch-size", "10",
+            "--signal-dim", "4", "--source-size", "60",
+        )
+        assert code == 1
+        assert "invalid choice 'nope'" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_usage_error(self):

@@ -23,6 +23,7 @@ from driftalign import (
     process_batch,
     recursive_feedback,
 )
+from driftalign.experiments import config_for_variant
 from driftalign.pipeline import _aligned_view
 
 
@@ -72,6 +73,15 @@ class TestPcaSubspace:
         x = np.tile(rng.standard_normal((1, 10)), (20, 1))
         with pytest.raises(RankDeficient):
             pca_subspace(x, 2)
+
+
+class TestStreamBatch:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, rng, value):
+        features = rng.standard_normal((6, 4))
+        features[2, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            StreamBatch(features=features)
 
 
 class TestConfig:
@@ -202,7 +212,7 @@ class TestProcessBatch:
             )
             transform = gfk_transform(source, mean_state.mean)
             aligned = apply_transform(batch.features, transform)
-            view = _aligned_view(classifier, transform.g)
+            view = _aligned_view(classifier, (transform,))
             expected_labels = classify(view, aligned)
 
             assert np.array_equal(y_hat, expected_labels)
@@ -213,6 +223,43 @@ class TestProcessBatch:
                 record.dist_source_mean - geodesic_distance(source, mean_state.mean)
             ) < 1e-10
             assert accuracy == pytest.approx(np.mean(expected_labels == batch.labels))
+
+    @pytest.mark.parametrize(
+        "variant", ["icms", "icms-fb-pred", "icms-fb-cumul", "avg", "karcher"]
+    )
+    def test_diagnostics_match_geodesic_distance(self, rng, variant):
+        # The record's distances are read from angles the batch already
+        # computed; they must equal fresh geodesic distances.
+        x, y = gaussian_source(rng)
+        cfg = config_for_variant(
+            PipelineConfig(subspace_dim=3, adaptive_classifier=True), variant
+        )
+        state = init_pipeline(x, y, cfg)
+        for _ in range(5):
+            batch = StreamBatch(features=rng.standard_normal((30, 10)) + 0.3 * x[:30])
+            prev = state.mean_state
+            _, _, state = process_batch(state, batch, cfg)
+            record, mean = state.history[-1], state.mean_state.mean
+            assert abs(
+                record.dist_source_mean - geodesic_distance(state.source_subspace, mean)
+            ) < 1e-10
+            expected_step = 0.0 if prev is None else geodesic_distance(prev.mean, mean)
+            assert abs(record.dist_mean_step - expected_step) < 1e-10
+
+    def test_feedback_view_is_sequential_product(self, rng):
+        # Passing the centroids through G_fb then G equals the dense
+        # product centroids @ (G_fb.g @ G.g).
+        x, y = gaussian_source(rng)
+        cfg = PipelineConfig(subspace_dim=3, use_feedback=True, use_cumulative=True)
+        state = init_pipeline(x, y, cfg)
+        for _ in range(3):
+            batch = StreamBatch(features=rng.standard_normal((30, 10)))
+            _, _, next_state = process_batch(state, batch, cfg)
+            g_fb, g = state.feedback_transform, next_state.feedback_transform
+            view = _aligned_view(state.classifier, (g_fb, g))
+            dense = state.classifier.centroids @ (g_fb.g @ g.g)
+            assert np.abs(view.centroids - dense).max() < 1e-10
+            state = next_state
 
     def test_transform_stored_for_next_feedback(self, rng):
         x, y = gaussian_source(rng)

@@ -59,6 +59,18 @@ class TestLoadCsv:
         assert err.value.row == 7
         assert "row 7" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        rows = simple_rows(10)
+        rows[4][2] = cell
+        write_rows(path, rows)
+        spec = DatasetSpec(path=path, feature_dim=3, n_classes=2)
+        with pytest.raises(CsvParseError) as err:
+            load_csv_stream(path, spec, batch_size=2)
+        assert (err.value.row, err.value.column) == (5, 3)
+        assert "non-finite" in str(err.value)
+
     def test_wrong_column_count_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         rows = simple_rows(5)

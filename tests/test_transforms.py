@@ -305,3 +305,75 @@ class TestTransformMatrix:
         m = rng.standard_normal((4, 4))
         g = TransformMatrix(m + m.T + 1e-12 * rng.standard_normal((4, 4)))
         assert np.array_equal(g.g, g.g.T)
+
+
+def dense_closed_form(ps, u3, h, blocks):
+    """The d x d build L @ C @ L.T the factored form replaces."""
+    b1, b2, b3 = blocks
+    left = np.hstack([ps.basis @ u3, h])
+    core = np.block([[np.diag(b1), np.diag(b2)], [np.diag(b2), np.diag(b3)]])
+    return left @ core @ left.T
+
+
+@pytest.mark.parametrize("d, k", [(30, 5), (512, 100)])
+class TestFactoredForm:
+    def test_gfk_matches_dense_build(self, rng, d, k):
+        from driftalign.grassmann import _thin_components
+
+        ps = random_subspace(d, k, rng)
+        pt = perturbed(ps, 0.15 * np.sqrt(k), rng)
+        transform = gfk_transform(ps, pt)
+        assert transform.left.shape == (d, 2 * k)
+        assert transform.core.shape == (2 * k, 2 * k)
+        u3, _, theta, h = _thin_components(ps, pt)
+        dense = dense_closed_form(ps, u3, h, lambda_blocks(theta))
+        x = rng.standard_normal((7, d))
+        assert np.abs(apply_transform(x, transform) - x @ dense).max() < 1e-10
+        assert np.abs(transform.g - dense).max() < 1e-10
+        assert np.abs(transform.theta - principal_angles(ps, pt)).max() < 1e-12
+
+    def test_cumulative_matches_dense_build(self, rng, d, k):
+        from driftalign.grassmann import _thin_components
+
+        ps = random_subspace(d, k, rng)
+        prev = perturbed(ps, 0.1 * np.sqrt(k), rng)
+        cur = perturbed(prev, 0.02 * np.sqrt(k), rng)
+        transform = cumulative_transform(ps, prev, cur)
+        u3, _, theta1, h = _thin_components(ps, cur)
+        blocks = delta_blocks(principal_angles(ps, prev), theta1)
+        dense = dense_closed_form(ps, u3, h, blocks)
+        x = rng.standard_normal((7, d))
+        assert np.abs(apply_transform(x, transform) - x @ dense).max() < 1e-10
+        assert np.abs(transform.g - dense).max() < 1e-10
+        assert np.abs(transform.theta - principal_angles(ps, cur)).max() < 1e-12
+
+
+class TestFactoredTransformMatrix:
+    def test_dense_built_once_on_request(self, rng):
+        ps = random_subspace(12, 3, rng)
+        transform = gfk_transform(ps, perturbed(ps, 0.2, rng))
+        assert transform._g is None
+        g = transform.g
+        assert transform.g is g
+        assert np.array_equal(g, g.T) and not g.flags.writeable
+        assert transform.dim == 12
+
+    def test_dense_forms_carry_no_factors(self):
+        identity = TransformMatrix.identity(4)
+        assert identity.left is None and identity.core is None
+        assert identity.theta is None and identity.dim == 4
+
+    def test_rejects_bad_factors(self, rng):
+        left = rng.standard_normal((8, 4))
+        core = np.diag([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError):
+            TransformMatrix.factored(left, core + np.triu(np.ones((4, 4)), 1))
+        with pytest.raises(ValueError):
+            TransformMatrix.factored(np.where(left > 1.0, np.nan, left), core)
+        with pytest.raises(ValueError):
+            TransformMatrix.factored(left, core[:3, :3])
+
+    def test_immutable(self, rng):
+        transform = TransformMatrix.identity(3)
+        with pytest.raises(AttributeError):
+            transform.left = np.eye(3)
