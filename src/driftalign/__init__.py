@@ -51,7 +51,6 @@ from .grassmann import (
     geodesic_distance,
     geodesic_point,
     log_map,
-    orthogonal_completion,
     orthonormalize,
     principal_angles,
     principal_decomposition,
@@ -78,7 +77,7 @@ from .pipeline import (
     process_batch,
     recursive_feedback,
 )
-from .prediction import VelocityMatrix, compensate, predict_next, velocity_matrix
+from .prediction import compensate, predict_next
 from .streams import (
     DatasetSpec,
     DriftParams,

@@ -62,7 +62,8 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="driftalign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -115,52 +116,53 @@ def _build_parser() -> _Parser:
     add_common(gen)
     gen.add_argument("--out", required=True, help="CSV output path")
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    # Pre-scan for --config so file values become defaults the real flags
-    # can still override.
+def _config_value(action: argparse.Action, key: str, raw: str):
+    """A config-file string converted and checked as its flag would be."""
+    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+        value = raw.lower() == "true"
+    elif action.type is not None:
+        try:
+            value = action.type(raw)
+        except ValueError as err:
+            raise UsageError(f"config key {key}: {err}") from None
+    else:
+        value = raw
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(
+            f"config key {key}: invalid choice {value!r} "
+            f"(choose from {', '.join(map(str, action.choices))})"
+        )
+    return value
+
+
+def _apply_config_file(
+    parser: _Parser, commands: dict[str, _Parser], argv: list[str]
+) -> argparse.Namespace:
+    # A first parse finds --config; the file's values become the
+    # subcommand's defaults, and a second parse lets every flag on the
+    # command line, in full or abbreviated form, override them.
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        file_values = _read_config_file(args.config)
-        actions = {action.dest: action for action in parser._actions}
-        for sub_action in parser._subparsers._group_actions:
-            for sub_parser in sub_action.choices.values():
-                for action in sub_parser._actions:
-                    actions.setdefault(action.dest, action)
-        unknown = set(file_values) - set(actions)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        explicit = _explicit_dests(argv)
-        for key, raw in file_values.items():
-            if key in explicit:
-                continue
-            action = actions[key]
-            if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-                value = raw.lower() == "true"
-            elif action.type is not None:
-                try:
-                    value = action.type(raw)
-                except ValueError as err:
-                    raise UsageError(f"config key {key}: {err}") from None
-            else:
-                value = raw
-            if action.choices is not None and value not in action.choices:
-                raise UsageError(
-                    f"config key {key}: invalid choice {value!r} "
-                    f"(choose from {', '.join(map(str, action.choices))})"
-                )
-            setattr(args, key, value)
-    return args
-
-
-def _explicit_dests(argv: list[str]) -> set[str]:
-    dests = set()
-    for token in argv:
-        if token.startswith("--"):
-            dests.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return dests
+    if not getattr(args, "config", None):
+        return args
+    file_values = _read_config_file(args.config)
+    actions = {
+        action.dest: action
+        for command in commands.values()
+        for action in command._actions
+    }
+    unknown = set(file_values) - set(actions)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    commands[args.command].set_defaults(
+        **{
+            key: _config_value(actions[key], key, raw)
+            for key, raw in file_values.items()
+        }
+    )
+    return parser.parse_args(argv)
 
 
 def _load_stream(args: argparse.Namespace) -> Stream:
@@ -227,9 +229,9 @@ def _emit(payload: dict, output: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        args = _apply_config_file(parser, argv)
+        args = _apply_config_file(parser, commands, argv)
         if args.command == "generate":
             stream = _load_stream(args)
             write_csv_stream(stream, args.out)

@@ -7,15 +7,19 @@ Subspace values describe the same point exactly when their projectors
 principal angles rather than through the basis entries.
 
 The geodesic between two subspaces rotates each principal direction at
-constant angular speed. It is parameterized through an orthogonal
-completion Q = [P R] of the start basis and the paired singular value
-decompositions
+constant angular speed. It is parameterized by the thin decomposition
 
     P1^T P2 = U1 diag(cos theta) V^T
-    R1^T P2 = -U2 [diag(sin theta); 0] V^T
+    (I - P1 P1^T) P2 = -H diag(sin theta) V^T
 
-with a shared right factor V, which pins the curve to pass through the
-second subspace at t = 1.
+with k x k orthogonal U1 and V, and H (d x k) with orthonormal columns
+orthogonal to P1. The shared right factor V pins the curve
+
+    Psi(t) = P1 U1 cos(t theta) - H sin(t theta)
+
+to pass through the second subspace at t = 1. Everything costs O(d k^2);
+no d x d completion of P1 is ever formed (Edelman, Arias & Smith, SIAM J.
+Matrix Anal. Appl. 1998).
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ ORTHONORMALITY_TOL = 1e-10
 # Angles within this of pi/2 sit on the cut locus; geodesics through them
 # are not unique and the operations that need one refuse to continue.
 CUT_LOCUS_TOL = 1e-8
-# Sine values below this are treated as exact zeros when building the U2
-# factor; the corresponding directions are filled by orthogonal completion.
+# Sine values below this are treated as exact zeros: the matching columns
+# of H are left zero, which is exact wherever H is weighted by sin(t theta).
 _DEGENERATE_SIN = 1e-8
 
 
@@ -88,30 +92,26 @@ class Subspace:
 class PrincipalDecomposition:
     """Paired rotations and principal angles relating two subspaces.
 
-    ``theta`` is nondecreasing in [0, pi/2]; ``u1`` (k x k), ``u2``
-    ((d-k) x (d-k)) and ``v`` (k x k) are orthonormal, with u2's column
-    signs fixed so that the reconstruction identities above hold with the
-    shared right factor v.
+    ``theta`` is nondecreasing in [0, pi/2], except among angles below
+    about 1e-8: their cosines round to 1, so they are resolved only jointly
+    (their norm is exact). ``u1`` and ``v`` (k x k) are orthogonal and
+    ``h`` (d x k) satisfies the identities in the module notes. Its columns
+    are orthonormal and orthogonal to the start basis, except that a column
+    whose sin(theta) is below 1e-8 is zero.
     """
 
     u1: np.ndarray
-    u2: np.ndarray
     v: np.ndarray
     theta: np.ndarray
+    h: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class GeodesicFlow:
-    """Constant-speed geodesic t -> Psi(t) with Psi(0) = start.
-
-    ``complement`` is the d x (d-k) orthonormal complement of the start
-    basis used when the decomposition was computed; evaluation must reuse
-    it, since ``decomposition.u2`` is expressed in its coordinates.
-    """
+    """Constant-speed geodesic t -> Psi(t) with Psi(0) = start."""
 
     start: Subspace
     decomposition: PrincipalDecomposition
-    complement: np.ndarray
 
 
 def _check_same_manifold(p1: Subspace, p2: Subspace) -> None:
@@ -146,102 +146,37 @@ def orthonormalize(m: np.ndarray) -> Subspace:
     return Subspace(u[:, :k])
 
 
-def orthogonal_completion(s: Subspace) -> np.ndarray:
-    """Extend the basis P to a full orthogonal Q = [P R] with Q^T P = [I; 0]."""
-    basis = s.basis
-    d, k = basis.shape
-    q_full, _ = np.linalg.qr(basis, mode="complete")
-    # The trailing columns of the complete QR factor span the orthogonal
-    # complement of col(P); the leading block is replaced by P itself so
-    # that Q^T P = [I; 0] holds exactly rather than up to a rotation.
-    q = np.empty((d, d))
-    q[:, :k] = basis
-    q[:, k:] = q_full[:, k:]
-    return q
+def principal_decomposition(p1: Subspace, p2: Subspace) -> PrincipalDecomposition:
+    """Rotations and principal angles relating p1 to p2 (see module notes).
 
-
-def _complete_orthonormal_columns(partial: np.ndarray, dim: int) -> np.ndarray:
-    """Columns extending a (possibly empty) orthonormal set to a basis of R^dim."""
-    if partial.shape[1] == 0:
-        return np.eye(dim)
-    q_full, _ = np.linalg.qr(partial, mode="complete")
-    return q_full[:, partial.shape[1]:]
-
-
-def _decompose(p1: Subspace, p2: Subspace) -> tuple[PrincipalDecomposition, np.ndarray]:
-    """Principal decomposition of (p1, p2) plus the complement R used for it."""
+    h is computed as -(I - P1 P1^T) P2 V / sin(theta) in O(d k^2).
+    Degenerate directions (sin below tolerance) get zero columns; every
+    consumer weights column i by a factor that vanishes with
+    sin(theta_i), so the zeros are exact there.
+    """
     _check_same_manifold(p1, p2)
-    d, k = p1.basis.shape
-    q = orthogonal_completion(p1)
-    r = q[:, k:]
-
-    a = p1.basis.T @ p2.basis          # k x k,      = U1 diag(cos) V^T
-    b = r.T @ p2.basis                 # (d-k) x k,  = -U2 diag(sin) V^T
+    a = p1.basis.T @ p2.basis
     u1, cos_sv, vt = np.linalg.svd(a)  # cos descending -> theta ascending
     v = vt.T
     cos_sv = np.clip(cos_sv, 0.0, 1.0)
-
-    c = -b @ v                         # columns: u2_i * sin(theta_i)
+    residual = p2.basis - p1.basis @ a
+    c = -residual @ v                  # columns: h_i * sin(theta_i)
     sin_sv = np.linalg.norm(c, axis=0)
     # arctan2 stays fully accurate at both ends of [0, pi/2], where either
     # arccos or arcsin alone would lose half the digits.
     theta = np.arctan2(sin_sv, cos_sv)
-
-    u2 = np.zeros((d - k, d - k))
-    good = sin_sv > _DEGENERATE_SIN
-    u2[:, :k][:, good] = c[:, good] / sin_sv[good]
-    filled = u2[:, :k][:, good]
-    rest = _complete_orthonormal_columns(filled, d - k)
-    slots = np.concatenate([np.flatnonzero(~good), np.arange(k, d - k)])
-    u2[:, slots] = rest
-    return PrincipalDecomposition(u1=u1, u2=u2, v=v, theta=theta), r
-
-
-def principal_decomposition(p1: Subspace, p2: Subspace) -> PrincipalDecomposition:
-    """Rotations and principal angles relating p1 to p2 (see module notes)."""
-    decomposition, _ = _decompose(p1, p2)
-    return decomposition
-
-
-def _thin_components(
-    p1: Subspace, p2: Subspace
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(u1, v, theta, h) of the p1 -> p2 geodesic without any completion.
-
-    h holds the ambient sine directions R @ U2[:, :k] of the full
-    decomposition, computed directly as -(I - P1 P1^T) P2 V / sin(theta)
-    in O(d k^2). Degenerate directions (sin below tolerance) get zero
-    columns; every consumer weights column i by a factor that vanishes
-    with sin(theta_i), so the zeros are exact there.
-    """
-    _check_same_manifold(p1, p2)
-    a = p1.basis.T @ p2.basis
-    u1, cos_sv, vt = np.linalg.svd(a)
-    v = vt.T
-    cos_sv = np.clip(cos_sv, 0.0, 1.0)
-    residual = p2.basis - p1.basis @ a
-    c = -residual @ v
-    sin_sv = np.linalg.norm(c, axis=0)
-    theta = np.arctan2(sin_sv, cos_sv)
     h = np.zeros_like(c)
     good = sin_sv > _DEGENERATE_SIN
     h[:, good] = c[:, good] / sin_sv[good]
-    return u1, v, theta, h
+    return PrincipalDecomposition(u1=u1, v=v, theta=theta, h=h)
 
 
 def _check_cut_locus(theta: np.ndarray, what: str) -> None:
+    """Raise CutLocusError naming ``what`` if the largest angle is at pi/2."""
     if theta[-1] >= np.pi / 2 - CUT_LOCUS_TOL:
         raise CutLocusError(
             f"{what}: principal angle {theta[-1]:.6f} is at the cut locus (pi/2)"
         )
-
-
-def _thin_flow_point(
-    p1: Subspace, u1: np.ndarray, theta: np.ndarray, h: np.ndarray, t: float
-) -> Subspace:
-    """Evaluate the thin-form geodesic at t and re-orthonormalize."""
-    point = (p1.basis @ u1) * np.cos(t * theta) - h * np.sin(t * theta)
-    return orthonormalize(point)
 
 
 def principal_angles(p1: Subspace, p2: Subspace) -> np.ndarray:
@@ -272,24 +207,19 @@ def geodesic(p1: Subspace, p2: Subspace) -> GeodesicFlow:
         CutLocusError: if any principal angle is within 1e-8 of pi/2,
             where the connecting geodesic stops being unique.
     """
-    decomposition, r = _decompose(p1, p2)
+    decomposition = principal_decomposition(p1, p2)
     _check_cut_locus(decomposition.theta, "geodesic")
-    return GeodesicFlow(start=p1, decomposition=decomposition, complement=r)
-
-
-def _flow_basis(flow: GeodesicFlow, t: float) -> np.ndarray:
-    """Raw (unorthonormalized) d x k curve point Psi(t)."""
-    theta = flow.decomposition.theta
-    left = flow.start.basis @ flow.decomposition.u1
-    right = flow.complement @ flow.decomposition.u2[:, : theta.size]
-    return left * np.cos(t * theta) - right * np.sin(t * theta)
+    return GeodesicFlow(start=p1, decomposition=decomposition)
 
 
 def geodesic_point(flow: GeodesicFlow, t: float) -> Subspace:
     """Evaluate the flow at t; t outside [0, 1] extrapolates the curve."""
     if not np.isfinite(t):
         raise ValueError("geodesic parameter t must be finite")
-    return orthonormalize(_flow_basis(flow, float(t)))
+    pd = flow.decomposition
+    angles = float(t) * pd.theta
+    point = (flow.start.basis @ pd.u1) * np.cos(angles) - pd.h * np.sin(angles)
+    return orthonormalize(point)
 
 
 def log_map(base: Subspace, x: Subspace) -> np.ndarray:

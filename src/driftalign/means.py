@@ -15,13 +15,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence
 from .grassmann import (
+    GeodesicFlow,
     Subspace,
     _check_cut_locus,
-    _thin_components,
-    _thin_flow_point,
     exp_map,
+    geodesic_point,
     log_map,
     orthonormalize,
+    principal_decomposition,
 )
 from .transforms import TransformMatrix
 
@@ -60,14 +61,13 @@ def icms_update(state: MeanState, p_new: Subspace) -> MeanState:
         DimensionMismatch: on incompatible shapes.
     """
     n = state.count + 1
-    u1, _, theta, h = _thin_components(state.mean, p_new)
-    _check_cut_locus(theta, "icms_update")
-    new_mean = _thin_flow_point(state.mean, u1, theta, h, 1.0 / n)
+    decomposition = principal_decomposition(state.mean, p_new)
+    _check_cut_locus(decomposition.theta, "icms_update")
     return MeanState(
-        mean=new_mean,
+        mean=geodesic_point(GeodesicFlow(state.mean, decomposition), 1.0 / n),
         prev_mean=state.mean,
         count=n,
-        step=float(np.linalg.norm(theta)) / n,
+        step=float(np.linalg.norm(decomposition.theta)) / n,
     )
 
 

@@ -22,19 +22,17 @@ prediction inside that stage instead of on the mean update, as done here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import AngleClampWarning, BlendOutOfRange, CutLocusError
+from .errors import AngleClampWarning, BlendOutOfRange
 from .grassmann import (
-    CUT_LOCUS_TOL,
-    PrincipalDecomposition,
+    GeodesicFlow,
     Subspace,
     _check_cut_locus,
-    _decompose,
-    _thin_components,
-    _thin_flow_point,
+    geodesic_point,
+    principal_decomposition,
 )
 
 # Per-direction extrapolation step cap: doubling an angle above pi/4 would
@@ -42,44 +40,17 @@ from .grassmann import (
 MAX_STEP_ANGLE = np.pi / 4
 
 
-@dataclass(frozen=True, eq=False)
-class VelocityMatrix:
-    """Velocity of the geodesic between two consecutive mean subspaces.
-
-    ``a`` is (d-k) x k with singular values equal to the step's principal
-    angles; it is zero exactly when the two means coincide.
-    """
-
-    a: np.ndarray
-    source_decomposition: PrincipalDecomposition
-
-
-def _step_decomposition(p_mean_prev: Subspace, p_mean_cur: Subspace):
-    decomposition, r = _decompose(p_mean_prev, p_mean_cur)
-    if decomposition.theta[-1] >= np.pi / 2 - CUT_LOCUS_TOL:
-        raise CutLocusError(
-            "consecutive mean subspaces are at the cut locus; step undefined"
-        )
-    return decomposition, r
-
-
-def velocity_matrix(p_mean_prev: Subspace, p_mean_cur: Subspace) -> VelocityMatrix:
-    """Velocity A = U2 diag(theta) U1^T of the step from prev to cur."""
-    decomposition, _ = _step_decomposition(p_mean_prev, p_mean_cur)
-    k = p_mean_prev.sub_dim
-    a = (decomposition.u2[:, :k] * decomposition.theta) @ decomposition.u1.T
-    return VelocityMatrix(a=a, source_decomposition=decomposition)
-
-
 def predict_next(p_mean_prev: Subspace, p_mean_cur: Subspace) -> Subspace:
     """Continue the prev -> cur geodesic by one more equal arc.
 
-    Equivalent to evaluating the fitted geodesic at t = 2. Step angles
-    above pi/4 are clamped there before doubling (with an
-    :class:`AngleClampWarning`) so that extrapolation cannot overshoot the
-    cut locus on noisy streams.
+    Equivalent to evaluating the fitted geodesic at t = 2, i.e. to
+    exp_map(prev, 2 * log_map(prev, cur)): the velocity of the step is
+    log_map(prev, cur). Step angles above pi/4 are clamped there before
+    doubling (with an :class:`AngleClampWarning`) so that extrapolation
+    cannot overshoot the cut locus on noisy streams.
     """
-    u1, _, theta, h = _thin_components(p_mean_prev, p_mean_cur)
+    decomposition = principal_decomposition(p_mean_prev, p_mean_cur)
+    theta = decomposition.theta
     _check_cut_locus(theta, "predict_next")
     if theta[-1] > MAX_STEP_ANGLE:
         warnings.warn(
@@ -87,8 +58,8 @@ def predict_next(p_mean_prev: Subspace, p_mean_cur: Subspace) -> Subspace:
             AngleClampWarning,
             stacklevel=2,
         )
-        theta = np.minimum(theta, MAX_STEP_ANGLE)
-    return _thin_flow_point(p_mean_prev, u1, theta, h, 2.0)
+        decomposition = replace(decomposition, theta=np.minimum(theta, MAX_STEP_ANGLE))
+    return geodesic_point(GeodesicFlow(p_mean_prev, decomposition), 2.0)
 
 
 def compensate(
@@ -102,6 +73,6 @@ def compensate(
     """
     if not 0.0 <= blend <= 1.0:
         raise BlendOutOfRange(f"blend must be in [0, 1], got {blend}")
-    u1, _, theta, h = _thin_components(p_observed, p_predicted)
-    _check_cut_locus(theta, "compensate")
-    return _thin_flow_point(p_observed, u1, theta, h, float(blend))
+    decomposition = principal_decomposition(p_observed, p_predicted)
+    _check_cut_locus(decomposition.theta, "compensate")
+    return geodesic_point(GeodesicFlow(p_observed, decomposition), blend)

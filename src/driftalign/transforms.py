@@ -3,7 +3,7 @@
 The plain alignment matrix integrates projections onto every intermediate
 subspace along the source-to-target geodesic and has the closed form
 
-    G = [P U1, R U2k] [[L1, L2], [L2, L3]] [U1^T P^T; U2k^T R^T]
+    G = [P U1, H] [[L1, L2], [L2, L3]] [U1^T P^T; H^T]
 
 with diagonal blocks
 
@@ -36,19 +36,13 @@ import logging
 
 import numpy as np
 
-from .errors import (
-    AngleOutOfRange,
-    BadNodeCount,
-    CutLocusError,
-    DimensionMismatch,
-    LengthMismatch,
-)
+from .errors import AngleOutOfRange, BadNodeCount, DimensionMismatch, LengthMismatch
 from .grassmann import (
-    CUT_LOCUS_TOL,
     Subspace,
-    _flow_basis,
-    _thin_components,
-    geodesic,
+    _check_cut_locus,
+    exp_map,
+    log_map,
+    principal_decomposition,
 )
 
 logger = logging.getLogger(__name__)
@@ -200,9 +194,8 @@ def _sandwich(
 ) -> TransformMatrix:
     """The factored transform [P U3, H] diag-block core [.]^T.
 
-    H carries the ambient sine directions R U4[:, :k]; the trailing
-    d - 2k columns of the full U4 never contribute because the core
-    blocks are zero outside the leading k x k diagonals.
+    U3 and H are the ``u1`` and ``h`` of the source-to-target
+    :class:`~driftalign.grassmann.PrincipalDecomposition`.
     """
     b1, b2, b3 = blocks
     left = np.hstack([p_source.basis @ u3, h])
@@ -212,18 +205,14 @@ def _sandwich(
     return TransformMatrix.factored(left, core, theta)
 
 
-def _check_below_cut_locus(theta: np.ndarray, what: str) -> None:
-    if theta.size and theta[-1] >= np.pi / 2 - CUT_LOCUS_TOL:
-        raise CutLocusError(
-            f"{what}: principal angle {theta[-1]:.6f} at the cut locus"
-        )
-
-
 def gfk_transform(p_source: Subspace, p_target: Subspace) -> TransformMatrix:
     """Closed-form alignment matrix for the source-to-target geodesic."""
-    u3, _, theta, h = _thin_components(p_source, p_target)
-    _check_below_cut_locus(theta, "gfk_transform")
-    return _sandwich(p_source, u3, h, lambda_blocks(theta), theta)
+    decomposition = principal_decomposition(p_source, p_target)
+    theta = decomposition.theta
+    _check_cut_locus(theta, "gfk_transform")
+    return _sandwich(
+        p_source, decomposition.u1, decomposition.h, lambda_blocks(theta), theta
+    )
 
 
 def quadrature_transform(
@@ -231,15 +220,17 @@ def quadrature_transform(
 ) -> TransformMatrix:
     """Composite-Simpson approximation of 2 * integral of Phi(t) Phi(t)^T.
 
-    Independent numerical route for :func:`gfk_transform`; converges to the
-    closed form as the node count grows.
+    Independent numerical route for :func:`gfk_transform`: the flow points
+    come from exp_map(P_s, t log_map(P_s, P_t)), not from the principal
+    decomposition the closed form uses. Converges to the closed form as the
+    node count grows.
 
     Raises:
         BadNodeCount: unless ``nodes`` is odd and at least 3.
     """
     if nodes < 3 or nodes % 2 == 0:
         raise BadNodeCount(f"Simpson rule needs an odd node count >= 3, got {nodes}")
-    flow = geodesic(p_source, p_target)
+    velocity = log_map(p_source, p_target)
     ts = np.linspace(0.0, 1.0, nodes)
     weights = np.ones(nodes)
     weights[1:-1:2] = 4.0
@@ -248,8 +239,7 @@ def quadrature_transform(
     d = p_source.ambient_dim
     g = np.zeros((d, d))
     for w, t in zip(weights, ts):
-        phi = _flow_basis(flow, t)
-        g += (2.0 * w) * (phi @ phi.T)
+        g += (2.0 * w) * exp_map(p_source, t * velocity).projector()
     return TransformMatrix(0.5 * (g + g.T))
 
 
@@ -259,28 +249,30 @@ def cumulative_transform(
     """Alignment matrix integrated over the sweep between consecutive means.
 
     The angle path start theta(0) comes from (source, previous mean) and the
-    end theta(1), along with the U3/U4 directions, from (source, current
+    end theta(1), along with the U3 and H directions, from (source, current
     mean); the two angle vectors are paired by sort order as printed. When
     the principal directions of the two decompositions differ by more than
     0.3 rad this pairing is a rough approximation and a warning is logged.
     """
-    u3_prev, _, theta0, _ = _thin_components(p_source, p_mean_prev)
-    _check_below_cut_locus(theta0, "cumulative_transform (source vs previous mean)")
+    start = principal_decomposition(p_source, p_mean_prev)
+    theta0 = start.theta
+    _check_cut_locus(theta0, "cumulative_transform (source vs previous mean)")
     # Only the largest (prev, cur) angle matters here, and the cosine route
     # is exact near pi/2.
     cos_step = np.linalg.svd(
         p_mean_prev.basis.T @ p_mean_cur.basis, compute_uv=False
     )
-    _check_below_cut_locus(
+    _check_cut_locus(
         np.arccos(np.clip(cos_step, 0.0, 1.0)),
         "cumulative_transform (previous vs current mean)",
     )
-    u3, _, theta1, h = _thin_components(p_source, p_mean_cur)
-    _check_below_cut_locus(theta1, "cumulative_transform (source vs current mean)")
+    end = principal_decomposition(p_source, p_mean_cur)
+    theta1 = end.theta
+    _check_cut_locus(theta1, "cumulative_transform (source vs current mean)")
 
     # Per-column mismatch between the paired principal directions, sign
     # ambiguity removed; columns of both factors are angle-sorted.
-    matched = np.abs(np.einsum("ij,ij->j", u3_prev, u3))
+    matched = np.abs(np.einsum("ij,ij->j", start.u1, end.u1))
     rotation = np.arccos(np.clip(matched, 0.0, 1.0))
     if rotation.max() > DIRECTION_MISMATCH_LIMIT:
         logger.warning(
@@ -291,7 +283,7 @@ def cumulative_transform(
             DIRECTION_MISMATCH_LIMIT,
         )
 
-    return _sandwich(p_source, u3, h, delta_blocks(theta0, theta1), theta1)
+    return _sandwich(p_source, end.u1, end.h, delta_blocks(theta0, theta1), theta1)
 
 
 def apply_transform(x: np.ndarray, transform: TransformMatrix) -> np.ndarray:

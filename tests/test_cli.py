@@ -82,6 +82,23 @@ class TestRun:
         assert payload["summary"]["batches"] == 4  # flag beats file
         assert payload["config"]["subspace_dim"] == 4  # file beats default
 
+    def test_abbreviated_flag_beats_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "variant=avg\ngenerate=stationary\nfeature-dim=20\nbatches=4\n"
+            "batch-size=10\nsignal-dim=4\nsource-size=60\nsubspace-dim=4\n"
+        )
+        report_path = tmp_path / "report.json"
+        code = run_cli(
+            "run", "--config", str(cfg), "--var", "icms", "--batch-s", "12",
+            "--output", str(report_path),
+        )
+        assert code == 0
+        payload = json.loads(report_path.read_text())
+        assert payload["variant"] == "icms"  # abbreviated --variant
+        assert payload["config"]["batch_size"] == 12  # abbreviated --batch-size
+        assert payload["summary"]["batches"] == 4  # file beats default
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("banana=1\n")

@@ -12,7 +12,6 @@ from driftalign import (
     geodesic_distance,
     geodesic_point,
     log_map,
-    orthogonal_completion,
     orthonormalize,
     principal_angles,
     principal_decomposition,
@@ -60,25 +59,6 @@ class TestSubspace:
             s.basis[0, 0] = 7.0
 
 
-class TestOrthogonalCompletion:
-    def test_line_in_plane(self):
-        q = orthogonal_completion(line(0.0))
-        assert np.abs(q.T @ q - np.eye(2)).max() < 1e-12
-        assert np.allclose(q[:, 0], [1.0, 0.0])
-
-    def test_axis_aligned_plane_in_r4(self):
-        s = orthonormalize(np.eye(4)[:, :2])
-        q = orthogonal_completion(s)
-        assert np.abs(q[:2, 2:]).max() < 1e-12
-
-    def test_defining_identities_random(self, rng):
-        s = random_subspace(30, 5, rng)
-        q = orthogonal_completion(s)
-        j = np.vstack([np.eye(5), np.zeros((25, 5))])
-        assert np.linalg.norm(q.T @ q - np.eye(30)) < 1e-10
-        assert np.linalg.norm(q.T @ s.basis - j) < 1e-10
-
-
 class TestPrincipalDecomposition:
     def test_identical_subspaces(self, rng):
         p = random_subspace(12, 3, rng)
@@ -102,20 +82,28 @@ class TestPrincipalDecomposition:
         p1 = random_subspace(12, 3, rng)
         p2 = random_subspace(12, 3, rng)
         pd = principal_decomposition(p1, p2)
-        q = orthogonal_completion(p1)
-        k = 3
-        sigma = np.zeros((12 - k, k))
-        sigma[:k, :k] = np.diag(np.sin(pd.theta))
         top = pd.u1 @ np.diag(np.cos(pd.theta)) @ pd.v.T
-        bottom = -pd.u2 @ sigma @ pd.v.T
-        assert np.linalg.norm(q.T @ p2.basis - np.vstack([top, bottom])) < 1e-8
+        side = -pd.h @ np.diag(np.sin(pd.theta)) @ pd.v.T
+        assert np.linalg.norm(p1.basis.T @ p2.basis - top) < 1e-8
+        residual = p2.basis - p1.basis @ (p1.basis.T @ p2.basis)
+        assert np.linalg.norm(residual - side) < 1e-8
 
     def test_u_factors_orthonormal(self, rng):
         p1 = random_subspace(12, 3, rng)
         p2 = random_subspace(12, 3, rng)
         pd = principal_decomposition(p1, p2)
         assert np.abs(pd.u1.T @ pd.u1 - np.eye(3)).max() < 1e-10
-        assert np.abs(pd.u2.T @ pd.u2 - np.eye(9)).max() < 1e-10
+        assert np.abs(pd.v.T @ pd.v - np.eye(3)).max() < 1e-10
+        assert pd.h.shape == (12, 3)
+        assert np.abs(pd.h.T @ pd.h - np.eye(3)).max() < 1e-10
+        assert np.abs(p1.basis.T @ pd.h).max() < 1e-10
+
+    def test_degenerate_directions_get_zero_h_columns(self, rng):
+        p1 = random_subspace(12, 3, rng)
+        p2 = Subspace(p1.basis[:, [2, 0, 1]])
+        pd = principal_decomposition(p1, p2)
+        assert np.abs(pd.theta).max() < 1e-12
+        assert np.array_equal(pd.h, np.zeros((12, 3)))
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):

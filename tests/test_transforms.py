@@ -14,6 +14,7 @@ from driftalign import (
     gfk_transform,
     lambda_blocks,
     principal_angles,
+    principal_decomposition,
     quadrature_transform,
 )
 
@@ -108,12 +109,12 @@ class TestGfkTransform:
     def test_angle_permutation_invariance(self, rng):
         # Permuting the principal-angle order together with the matched
         # direction columns leaves the assembled matrix unchanged.
-        from driftalign.grassmann import _thin_components
         from driftalign.transforms import _sandwich
 
         p1 = random_subspace(15, 3, rng)
         p2 = random_subspace(15, 3, rng)
-        u3, _, theta, h = _thin_components(p1, p2)
+        pd = principal_decomposition(p1, p2)
+        u3, theta, h = pd.u1, pd.theta, pd.h
         perm = [2, 0, 1]
         direct = _sandwich(p1, u3, h, lambda_blocks(theta))
         shuffled = _sandwich(
@@ -216,7 +217,6 @@ class TestCumulativeTransform:
         assert rel < 0.02
 
     def test_double_quadrature_oracles(self, rng):
-        from driftalign.grassmann import _thin_components
         from driftalign.transforms import _sandwich
 
         ps = random_subspace(12, 3, rng)
@@ -225,7 +225,8 @@ class TestCumulativeTransform:
         closed = cumulative_transform(ps, pm_prev, pm_cur)
 
         theta0 = principal_angles(ps, pm_prev)
-        u3, _, theta1, h = _thin_components(ps, pm_cur)
+        end = principal_decomposition(ps, pm_cur)
+        u3, theta1, h = end.u1, end.theta, end.h
         nodes = 65
         betas = np.linspace(0.0, 1.0, nodes)
         weights = simpson_weights(nodes)
@@ -318,30 +319,26 @@ def dense_closed_form(ps, u3, h, blocks):
 @pytest.mark.parametrize("d, k", [(30, 5), (512, 100)])
 class TestFactoredForm:
     def test_gfk_matches_dense_build(self, rng, d, k):
-        from driftalign.grassmann import _thin_components
-
         ps = random_subspace(d, k, rng)
         pt = perturbed(ps, 0.15 * np.sqrt(k), rng)
         transform = gfk_transform(ps, pt)
         assert transform.left.shape == (d, 2 * k)
         assert transform.core.shape == (2 * k, 2 * k)
-        u3, _, theta, h = _thin_components(ps, pt)
-        dense = dense_closed_form(ps, u3, h, lambda_blocks(theta))
+        pd = principal_decomposition(ps, pt)
+        dense = dense_closed_form(ps, pd.u1, pd.h, lambda_blocks(pd.theta))
         x = rng.standard_normal((7, d))
         assert np.abs(apply_transform(x, transform) - x @ dense).max() < 1e-10
         assert np.abs(transform.g - dense).max() < 1e-10
         assert np.abs(transform.theta - principal_angles(ps, pt)).max() < 1e-12
 
     def test_cumulative_matches_dense_build(self, rng, d, k):
-        from driftalign.grassmann import _thin_components
-
         ps = random_subspace(d, k, rng)
         prev = perturbed(ps, 0.1 * np.sqrt(k), rng)
         cur = perturbed(prev, 0.02 * np.sqrt(k), rng)
         transform = cumulative_transform(ps, prev, cur)
-        u3, _, theta1, h = _thin_components(ps, cur)
-        blocks = delta_blocks(principal_angles(ps, prev), theta1)
-        dense = dense_closed_form(ps, u3, h, blocks)
+        end = principal_decomposition(ps, cur)
+        blocks = delta_blocks(principal_angles(ps, prev), end.theta)
+        dense = dense_closed_form(ps, end.u1, end.h, blocks)
         x = rng.standard_normal((7, d))
         assert np.abs(apply_transform(x, transform) - x @ dense).max() < 1e-10
         assert np.abs(transform.g - dense).max() < 1e-10
