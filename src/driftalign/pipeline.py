@@ -151,8 +151,26 @@ class PipelineState:
     seen_subspaces: tuple[Subspace, ...] = ()
 
 
+# Smallest eigenvalue ratio lambda_k / lambda_1 of the Gram matrix that its
+# eigendecomposition is trusted with. eigh resolves eigenvalues only to about
+# n * eps * lambda_1, far above the rank check's lambda_k <= 1e-20 * lambda_1.
+_GRAM_RESOLVED = 1e-6
+
+
 def pca_subspace(x: np.ndarray, k: int) -> Subspace:
     """Top-k principal directions of the mean-centered rows.
+
+    The directions come from the eigendecomposition of the smaller Gram
+    matrix of the centered rows Xc (N x d). With N < d (a mini-batch) that
+    is the N x N matrix Xc Xc^T, whose top-k eigenpairs (lambda_i, u_i)
+    give the directions Xc^T u_i / sqrt(lambda_i); otherwise it is the
+    d x d scatter Xc^T Xc, whose top-k eigenvectors are the directions.
+
+    The rank check tests the singular values of Xc, s_k <= 1e-10 * s_1,
+    i.e. lambda_k <= 1e-20 * lambda_1, which eigh cannot resolve. So when
+    lambda_k <= 1e-6 * lambda_1 (or lambda_1 is not positive) the
+    directions and the check come from the SVD of Xc instead. That second
+    route runs only on nearly rank-deficient input.
 
     Raises:
         RankDeficient: if the centered scatter has numerical rank < k
@@ -161,12 +179,21 @@ def pca_subspace(x: np.ndarray, k: int) -> Subspace:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D sample matrix, got shape {x.shape}")
-    n = x.shape[0]
+    n, d = x.shape
     if k > n - 1:
         raise RankDeficient(
             f"{n} rows give a centered scatter of rank at most {n - 1} < k={k}"
         )
     centered = x - x.mean(axis=0)
+    if n < d:
+        evals, vecs = np.linalg.eigh(centered @ centered.T)
+    else:
+        evals, vecs = np.linalg.eigh(centered.T @ centered)
+    top = evals[: -k - 1 : -1]  # the k largest, descending
+    if top[0] > 0.0 and top[-1] > _GRAM_RESOLVED * top[0]:
+        vecs = vecs[:, : -k - 1 : -1]
+        basis = (centered.T @ vecs) / np.sqrt(top) if n < d else vecs
+        return orthonormalize(basis)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     if s[0] == 0.0 or s[k - 1] <= 1e-10 * s[0]:
         raise RankDeficient(f"centered data has numerical rank < k={k}")
@@ -261,15 +288,28 @@ def process_batch(
 ) -> tuple[np.ndarray | None, float | None, PipelineState]:
     """Run one mini-batch through the loop and return the advanced state.
 
-    A cut-locus failure anywhere in the geometry aborts just this batch:
-    the event is logged, and (None, None, unchanged state) is returned so
-    that one degenerate batch cannot kill a long stream. Other errors
-    propagate.
+    A degenerate batch aborts just this batch: a cut-locus failure anywhere
+    in the geometry, or numerically rank-deficient rows (a constant batch,
+    say). The batch index and the reason are logged, and (None, None,
+    unchanged state) is returned so that one degenerate batch cannot kill a
+    long stream. Other errors propagate, among them the shape errors that
+    every batch of the same shape would repeat.
+
+    Raises:
+        DimensionMismatch: if the batch's feature dimension is not the
+            source's.
+        RankDeficient: if the batch has at most k rows, too few to span a
+            k-dimensional subspace after centering.
     """
     if batch.features.shape[1] != state.source_subspace.ambient_dim:
         raise DimensionMismatch(
             f"batch dim {batch.features.shape[1]} does not match source dim "
             f"{state.source_subspace.ambient_dim}"
+        )
+    if cfg.mean_method != MEAN_NONE and batch.size <= cfg.subspace_dim:
+        raise RankDeficient(
+            f"{batch.size} rows give a centered scatter of rank at most "
+            f"{batch.size - 1} < k={cfg.subspace_dim}"
         )
     started = time.perf_counter()
     n = state.batch_index + 1
@@ -344,6 +384,9 @@ def process_batch(
         )
     except CutLocusError as err:
         logger.warning("batch %d skipped at the cut locus: %s", n, err)
+        return None, None, state
+    except RankDeficient as err:
+        logger.warning("batch %d skipped as rank deficient: %s", n, err)
         return None, None, state
 
 

@@ -1,5 +1,6 @@
-"""Edge cases of the one geodesic path: property tests on analytic pairs and
-the stage named by every cut-locus refusal.
+"""Edge cases of the one geodesic path: property tests on analytic pairs (the
+decomposition, the flow, the incremental mean and the closed-form transform)
+and the stage named by every cut-locus refusal.
 
 The pairs are built from their principal angles, P1 = A and
 P2 = A cos(theta) + B sin(theta) with [A B] orthonormal, then rotated within
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 from driftalign import (
     CutLocusError,
+    MeanState,
     Subspace,
+    apply_transform,
     compensate,
     cumulative_transform,
     geodesic,
@@ -96,6 +99,27 @@ def test_distance_along_flow_is_t_times_arc_length(pair, t):
     point = geodesic_point(geodesic(p1, p2), t)
     arc = t * np.linalg.norm(theta)
     assert abs(geodesic_distance(p1, point) - arc) < _tol(theta)
+
+
+@edge_settings
+@given(analytic_pairs(), st.sampled_from((2, 5, 50)))
+def test_icms_update_splits_the_arc_one_to_n_minus_one(pair, n):
+    p1, p2, theta = pair
+    arc = np.linalg.norm(theta)
+    new = icms_update(MeanState(mean=p1, prev_mean=None, count=n - 1), p2).mean
+    assert abs(geodesic_distance(p1, new) - arc / n) < _tol(theta)
+    assert abs(geodesic_distance(new, p2) - (n - 1) * arc / n) < _tol(theta)
+
+
+@edge_settings
+@given(analytic_pairs())
+def test_gfk_dense_form_is_symmetric_and_equals_the_factored_apply(pair):
+    p1, p2, theta = pair
+    transform = gfk_transform(p1, p2)
+    g = transform.g
+    assert np.abs(g - g.T).max() < _tol(theta)
+    identity = np.eye(p1.ambient_dim)
+    assert np.abs(apply_transform(identity, transform) - g).max() < _tol(theta)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from driftalign import (
     DimensionMismatch,
     PipelineConfig,
     RankDeficient,
+    Stream,
     StreamBatch,
     TransformMatrix,
     apply_transform,
@@ -22,10 +23,14 @@ from driftalign import (
     predict_next,
     process_batch,
     recursive_feedback,
+    run_experiment,
 )
 from driftalign.experiments import config_for_variant
 from driftalign.pipeline import _aligned_view
 
+# (n, d, k): mini-batch shapes (n < d, the n x n Gram matrix) and source
+# shapes (n >= d, the d x d scatter) at the criterion-8 and paper scales.
+PCA_SHAPES = [(120, 512, 100), (20, 30, 5), (600, 512, 100), (400, 30, 5)]
 
 
 def gaussian_source(rng, n=120, d=10, k_classes=2, sep=4.0):
@@ -35,6 +40,26 @@ def gaussian_source(rng, n=120, d=10, k_classes=2, sep=4.0):
         centers[j, j] = sep
     x = centers[y] + rng.standard_normal((n, d))
     return x, y
+
+
+def svd_pca_oracle(x, k):
+    centered = x - x.mean(axis=0)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    return orthonormalize(vt[:k].T)
+
+
+def rows_with_singular_ratio(rng, n, d, k, ratio):
+    """Rows whose centered matrix has singular values 1 (k - 1 times) and ratio.
+
+    The left factor is orthogonal to the all-ones vector, so centering
+    leaves it intact; a random per-column offset is added on top.
+    """
+    a = rng.standard_normal((n, k))
+    left, _ = np.linalg.qr(a - a.mean(axis=0))
+    right, _ = np.linalg.qr(rng.standard_normal((d, k)))
+    s = np.ones(k)
+    s[-1] = ratio
+    return (left * s) @ right.T + rng.standard_normal(d)
 
 
 class TestPcaSubspace:
@@ -73,6 +98,36 @@ class TestPcaSubspace:
         x = np.tile(rng.standard_normal((1, 10)), (20, 1))
         with pytest.raises(RankDeficient):
             pca_subspace(x, 2)
+
+    @pytest.mark.parametrize("n, d, k", PCA_SHAPES)
+    def test_gram_route_matches_svd_oracle(self, rng, n, d, k):
+        x = rng.standard_normal((n, d)) * np.linspace(3.0, 1.0, d) + 2.0
+        assert geodesic_distance(pca_subspace(x, k), svd_pca_oracle(x, k)) <= 1e-10
+
+    @pytest.mark.parametrize("n, d, k", PCA_SHAPES)
+    def test_rank_boundary_unchanged(self, rng, n, d, k):
+        # The check is s_k <= 1e-10 * s_1 on the singular values of the
+        # centered rows, on either side of the Gram route.
+        accepted = pca_subspace(rows_with_singular_ratio(rng, n, d, k, 1e-9), k)
+        assert accepted.sub_dim == k
+        with pytest.raises(RankDeficient):
+            pca_subspace(rows_with_singular_ratio(rng, n, d, k, 1e-11), k)
+
+    def test_well_conditioned_batch_makes_no_svd_call(self, rng, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        for n, d, k in PCA_SHAPES:
+            pca_subspace(rng.standard_normal((n, d)) * np.linspace(3.0, 1.0, d), k)
+        assert calls == []
+        # Nearly rank-deficient rows take the SVD route.
+        pca_subspace(rows_with_singular_ratio(rng, 20, 30, 5, 1e-9), 5)
+        assert calls == [(20, 30)]
 
 
 class TestStreamBatch:
@@ -339,6 +394,35 @@ class TestProcessBatch:
         assert y_hat is None and accuracy is None
         assert new_state is state
         assert any("cut locus" in r.message for r in caplog.records)
+
+    def test_rank_deficient_batch_skipped_with_state_unchanged(self, rng, caplog):
+        import logging
+
+        x, y = gaussian_source(rng)
+        cfg = PipelineConfig(subspace_dim=3)
+        labels = rng.integers(0, 2, size=30)
+        constant = np.tile(rng.standard_normal((1, 10)), (30, 1))
+        batches = tuple(
+            StreamBatch(features=f, labels=labels)
+            for f in (rng.standard_normal((30, 10)), constant, rng.standard_normal((30, 10)))
+        )
+        state = init_pipeline(x, y, cfg)
+        _, _, state = process_batch(state, batches[0], cfg)
+        with caplog.at_level(logging.WARNING, logger="driftalign.pipeline"):
+            y_hat, accuracy, skipped = process_batch(state, batches[1], cfg)
+        assert y_hat is None and accuracy is None
+        assert skipped is state
+        assert any(
+            "batch 2 skipped as rank deficient" in r.message for r in caplog.records
+        )
+        y_hat, _, state = process_batch(state, batches[2], cfg)
+        assert y_hat is not None
+        assert state.batch_index == 2 and len(state.history) == 2
+
+        stream = Stream(source_x=x, source_y=y, batches=batches, params={})
+        report = run_experiment(stream, cfg, "icms")
+        assert report.summary["skipped_batches"] == 1
+        assert report.summary["batches"] == 2
 
     def test_dimension_mismatch_propagates(self, rng):
         x, y = gaussian_source(rng)
