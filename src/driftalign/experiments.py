@@ -134,20 +134,22 @@ def run_experiment(
     run_cfg = config_for_variant(cfg, variant)
     state = init_pipeline(stream.source_x, stream.source_y, run_cfg)
     started = time.perf_counter()
-    skipped = 0
+    records, skipped = [], 0
     try:
         for batch in stream.batches:
             y_hat, _, state = process_batch(state, batch, run_cfg)
             if y_hat is None:
                 skipped += 1
+            else:
+                records.append(state.record)
     finally:
         total = time.perf_counter() - started
         report = ExperimentReport(
             variant=variant,
             seed=run_cfg.seed,
             config=_config_echo(stream, run_cfg, variant),
-            records=state.history,
-            summary=_summarize(state.history, total, skipped),
+            records=tuple(records),
+            summary=_summarize(tuple(records), total, skipped),
         )
         if output_path is not None:
             report.write_json(output_path)
@@ -159,6 +161,9 @@ def run_experiment(
 def rerun_from_report(report_config: dict) -> ExperimentReport:
     """Reproduce a run from the config echoed in its report."""
     config = dict(report_config)
+    # Reports written before the confidence gate was removed echo it as null.
+    if "confidence_threshold" in config and config["confidence_threshold"] is None:
+        del config["confidence_threshold"]
     stream_params = config.pop("stream")
     variant = config.pop("variant")
     stream = stream_from_params(stream_params)

@@ -4,8 +4,10 @@ Each arriving mini-batch is (optionally) pre-aligned with the transform fed
 back from the previous step, reduced to a subspace, absorbed into the
 running mean, aligned to the source through the flow-integral transform,
 classified, and (optionally) used to adapt the classifier with its own
-pseudo-labels. One pipeline instance owns its state exclusively; all state
-values are immutable, so distinct streams can run in parallel freely.
+pseudo-labels. ``process_batch`` runs that one sequence; only the mean
+update and the transform differ by mean method, one step function each.
+One pipeline instance owns its state exclusively; all state values are
+immutable, so distinct streams can run in parallel freely.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ class PipelineConfig:
     feedback stage instead is left open by its abstract. ``mean_method``
     selects the running-mean machinery; the baseline methods
     ("transform-average", "karcher", "none") ignore the feedback /
-    prediction / cumulative stages.
+    prediction / cumulative stages. ``adaptive_classifier`` updates the
+    classifier with every row of a batch and its predicted label, ungated.
     """
 
     subspace_dim: int
@@ -98,7 +101,6 @@ class PipelineConfig:
     update_rate: float = 0.1
     seed: int = 0
     mean_method: str = MEAN_ICMS
-    confidence_threshold: float | None = None
     karcher_tol: float = 3e-2
     karcher_max_iter: int = 15
 
@@ -128,7 +130,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True, eq=False)
 class BatchRecord:
-    """One history row: accuracy plus the convergence diagnostics."""
+    """One processed batch: accuracy plus the convergence diagnostics."""
 
     index: int
     accuracy: float | None
@@ -139,15 +141,21 @@ class BatchRecord:
 
 @dataclass(frozen=True, eq=False)
 class PipelineState:
-    """Everything carried from one mini-batch to the next."""
+    """What the next mini-batch reads, and the last batch's record.
+
+    ``feedback_transform`` is the last transform (identity at first): the
+    next batch is pre-aligned with it, and "transform-average" extends it as
+    its running average. "karcher" recomputes its mean from all of
+    ``seen_subspaces``. Only the last ``record`` is kept, so the state does
+    not grow with the stream; ``run_experiment`` collects the records.
+    """
 
     source_subspace: Subspace
     mean_state: MeanState | None
     feedback_transform: TransformMatrix
     classifier: Classifier
     batch_index: int
-    history: tuple[BatchRecord, ...]
-    avg_transform: TransformMatrix | None = None
+    record: BatchRecord | None = None
     seen_subspaces: tuple[Subspace, ...] = ()
 
 
@@ -169,8 +177,8 @@ def pca_subspace(x: np.ndarray, k: int) -> Subspace:
     The rank check tests the singular values of Xc, s_k <= 1e-10 * s_1,
     i.e. lambda_k <= 1e-20 * lambda_1, which eigh cannot resolve. So when
     lambda_k <= 1e-6 * lambda_1 (or lambda_1 is not positive) the
-    directions and the check come from the SVD of Xc instead. That second
-    route runs only on nearly rank-deficient input.
+    directions and the check come from the SVD of Xc instead. That route
+    also takes rows so large (~1e154) that the Gram matrix overflows.
 
     Raises:
         RankDeficient: if the centered scatter has numerical rank < k
@@ -185,15 +193,15 @@ def pca_subspace(x: np.ndarray, k: int) -> Subspace:
             f"{n} rows give a centered scatter of rank at most {n - 1} < k={k}"
         )
     centered = x - x.mean(axis=0)
-    if n < d:
-        evals, vecs = np.linalg.eigh(centered @ centered.T)
-    else:
-        evals, vecs = np.linalg.eigh(centered.T @ centered)
-    top = evals[: -k - 1 : -1]  # the k largest, descending
-    if top[0] > 0.0 and top[-1] > _GRAM_RESOLVED * top[0]:
-        vecs = vecs[:, : -k - 1 : -1]
-        basis = (centered.T @ vecs) / np.sqrt(top) if n < d else vecs
-        return orthonormalize(basis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = centered @ centered.T if n < d else centered.T @ centered
+    if np.isfinite(gram).all():
+        evals, vecs = np.linalg.eigh(gram)
+        top = evals[: -k - 1 : -1]  # the k largest, descending
+        if top[0] > 0.0 and top[-1] > _GRAM_RESOLVED * top[0]:
+            vecs = vecs[:, : -k - 1 : -1]
+            basis = (centered.T @ vecs) / np.sqrt(top) if n < d else vecs
+            return orthonormalize(basis)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     if s[0] == 0.0 or s[k - 1] <= 1e-10 * s[0]:
         raise RankDeficient(f"centered data has numerical rank < k={k}")
@@ -233,19 +241,7 @@ def init_pipeline(
         feedback_transform=TransformMatrix.identity(d),
         classifier=classifier,
         batch_index=0,
-        history=(),
     )
-
-
-def _confident_rows(
-    classifier: Classifier, x: np.ndarray, threshold: float
-) -> np.ndarray:
-    """Mask of rows whose two best centroid distances are separated enough."""
-    diffs = x[:, None, :] - classifier.centroids[None, :, :]
-    dists = np.sqrt(np.einsum("nij,nij->ni", diffs, diffs))
-    ordered = np.sort(dists, axis=1)
-    margin = (ordered[:, 1] - ordered[:, 0]) / (ordered[:, 1] + 1e-12)
-    return margin >= threshold
 
 
 def _aligned_view(
@@ -268,25 +264,74 @@ def _aligned_view(
     return replace(classifier, centroids=centroids)
 
 
-def _baseline_mean_state(
-    previous: MeanState | None, mean: Subspace, n: int
-) -> MeanState:
+def _baseline_mean_state(state: PipelineState, mean: Subspace) -> MeanState:
     """Mean state of a baseline whose mean does not come from icms_update."""
-    prev = previous.mean if previous is not None else None
+    prev = state.mean_state.mean if state.mean_state is not None else None
     step = geodesic_distance(prev, mean) if prev is not None else 0.0
-    return MeanState(mean=mean, prev_mean=prev, count=n, step=step)
+    return MeanState(mean=mean, prev_mean=prev, count=state.batch_index + 1, step=step)
 
 
-def _batch_accuracy(y_hat: np.ndarray, labels: np.ndarray | None) -> float | None:
-    if labels is None:
-        return None
-    return float(np.mean(y_hat == labels))
+def _icms_step(
+    state: PipelineState, observed: Subspace, cfg: PipelineConfig
+) -> tuple[PipelineState, float]:
+    """Compensate (optionally), absorb into the running mean, build the transform."""
+    source, previous = state.source_subspace, state.mean_state
+    if previous is None:
+        mean_state = init_mean(observed)
+    else:
+        if cfg.use_prediction and previous.prev_mean is not None:
+            predicted = predict_next(previous.prev_mean, previous.mean)
+            observed = compensate(predicted, observed, cfg.blend)
+        mean_state = icms_update(previous, observed)
+    if cfg.use_cumulative and mean_state.prev_mean is not None:
+        transform = cumulative_transform(source, mean_state.prev_mean, mean_state.mean)
+    else:
+        transform = gfk_transform(source, mean_state.mean)
+    advanced = replace(state, mean_state=mean_state, feedback_transform=transform)
+    # Both closed forms carry the (source, mean) angles they used.
+    return advanced, float(np.linalg.norm(transform.theta))
+
+
+def _karcher_step(
+    state: PipelineState, observed: Subspace, cfg: PipelineConfig
+) -> tuple[PipelineState, float]:
+    """Recompute the Karcher mean of every subspace seen so far."""
+    seen = state.seen_subspaces + (observed,)
+    result = karcher_mean(seen, tol=cfg.karcher_tol, max_iter=cfg.karcher_max_iter)
+    mean_state = _baseline_mean_state(state, result.subspace)
+    transform = gfk_transform(state.source_subspace, mean_state.mean)
+    advanced = replace(
+        state, mean_state=mean_state, feedback_transform=transform, seen_subspaces=seen
+    )
+    return advanced, geodesic_distance(state.source_subspace, mean_state.mean)
+
+
+def _average_step(
+    state: PipelineState, observed: Subspace, cfg: PipelineConfig
+) -> tuple[PipelineState, float]:
+    """Average the per-batch transforms: the mean lives on the matrices."""
+    n = state.batch_index + 1
+    g_batch = gfk_transform(state.source_subspace, observed)
+    transform = incremental_average_transform(state.feedback_transform, g_batch, n)
+    mean_state = _baseline_mean_state(state, observed)
+    advanced = replace(state, mean_state=mean_state, feedback_transform=transform)
+    return advanced, geodesic_distance(state.source_subspace, observed)
+
+
+_STEPS = {
+    MEAN_ICMS: _icms_step,
+    MEAN_KARCHER: _karcher_step,
+    MEAN_TRANSFORM_AVERAGE: _average_step,
+}
 
 
 def process_batch(
     state: PipelineState, batch: StreamBatch, cfg: PipelineConfig
 ) -> tuple[np.ndarray | None, float | None, PipelineState]:
     """Run one mini-batch through the loop and return the advanced state.
+
+    Pre-align (feedback), take the subspace, advance the mean and build the
+    transform (the method's step), classify, update an adaptive classifier.
 
     A degenerate batch aborts just this batch: a cut-locus failure anywhere
     in the geometry, or numerically rank-deficient rows (a constant batch,
@@ -313,128 +358,43 @@ def process_batch(
         )
     started = time.perf_counter()
     n = state.batch_index + 1
-    try:
-        if cfg.mean_method == MEAN_NONE:
-            y_hat = classify(state.classifier, batch.features)
-            return _finalize(
-                state, batch, cfg, y_hat, state.mean_state,
-                state.feedback_transform, None, (), 0.0, 0.0, started,
-            )
-
-        aligned = (
-            apply_transform(batch.features, state.feedback_transform)
-            if cfg.use_feedback
-            else batch.features
+    if cfg.mean_method == MEAN_NONE:
+        advanced, dist_source, dist_step = state, 0.0, 0.0
+        y_hat = classify(state.classifier, batch.features)
+    else:
+        aligned = batch
+        if cfg.use_feedback:
+            aligned = recursive_feedback(batch, state.feedback_transform)
+        try:
+            observed = pca_subspace(aligned.features, cfg.subspace_dim)
+            advanced, dist_source = _STEPS[cfg.mean_method](state, observed, cfg)
+        except CutLocusError as err:
+            logger.warning("batch %d skipped at the cut locus: %s", n, err)
+            return None, None, state
+        except RankDeficient as err:
+            logger.warning("batch %d skipped as rank deficient: %s", n, err)
+            return None, None, state
+        dist_step = advanced.mean_state.step
+        transform = advanced.feedback_transform
+        maps = (state.feedback_transform, transform) if cfg.use_feedback else (transform,)
+        y_hat = classify(
+            _aligned_view(state.classifier, maps),
+            apply_transform(aligned.features, transform),
         )
-        observed = pca_subspace(aligned, cfg.subspace_dim)
-
-        if cfg.mean_method == MEAN_ICMS:
-            if cfg.use_prediction and state.mean_state is not None \
-                    and state.mean_state.prev_mean is not None:
-                predicted = predict_next(
-                    state.mean_state.prev_mean, state.mean_state.mean
-                )
-                compensated = compensate(predicted, observed, cfg.blend)
-            else:
-                compensated = observed
-            mean_state = (
-                init_mean(compensated)
-                if state.mean_state is None
-                else icms_update(state.mean_state, compensated)
-            )
-            seen = ()
-            avg_transform = None
-            if cfg.use_cumulative and mean_state.prev_mean is not None:
-                transform = cumulative_transform(
-                    state.source_subspace, mean_state.prev_mean, mean_state.mean
-                )
-            else:
-                transform = gfk_transform(state.source_subspace, mean_state.mean)
-            # Both closed forms carry the (source, mean) angles they used.
-            dist_source = float(np.linalg.norm(transform.theta))
-        elif cfg.mean_method == MEAN_KARCHER:
-            seen = state.seen_subspaces + (observed,)
-            result = karcher_mean(
-                seen, tol=cfg.karcher_tol, max_iter=cfg.karcher_max_iter
-            )
-            mean_state = _baseline_mean_state(state.mean_state, result.subspace, n)
-            avg_transform = None
-            transform = gfk_transform(state.source_subspace, mean_state.mean)
-            dist_source = geodesic_distance(state.source_subspace, mean_state.mean)
-        else:  # transform-average: the mean lives on the matrices, not the manifold
-            seen = ()
-            mean_state = _baseline_mean_state(state.mean_state, observed, n)
-            batch_transform = gfk_transform(state.source_subspace, observed)
-            avg_transform = incremental_average_transform(
-                state.avg_transform, batch_transform, n
-            )
-            transform = avg_transform
-            dist_source = geodesic_distance(state.source_subspace, mean_state.mean)
-
-        x_aligned = apply_transform(aligned, transform)
-        maps = (
-            (state.feedback_transform, transform) if cfg.use_feedback else (transform,)
-        )
-        view = _aligned_view(state.classifier, maps)
-        y_hat = classify(view, x_aligned)
-        return _finalize(
-            state, batch, cfg, y_hat, mean_state, transform,
-            avg_transform, seen, dist_source, mean_state.step, started,
-            view=view, x_aligned=x_aligned,
-        )
-    except CutLocusError as err:
-        logger.warning("batch %d skipped at the cut locus: %s", n, err)
-        return None, None, state
-    except RankDeficient as err:
-        logger.warning("batch %d skipped as rank deficient: %s", n, err)
-        return None, None, state
-
-
-def _finalize(
-    state: PipelineState,
-    batch: StreamBatch,
-    cfg: PipelineConfig,
-    y_hat: np.ndarray,
-    mean_state: MeanState | None,
-    feedback: TransformMatrix,
-    avg_transform: TransformMatrix | None,
-    seen: tuple[Subspace, ...],
-    dist_source: float,
-    dist_step: float,
-    started: float,
-    view: Classifier | None = None,
-    x_aligned: np.ndarray | None = None,
-) -> tuple[np.ndarray, float | None, PipelineState]:
     classifier = state.classifier
     if cfg.adaptive_classifier and cfg.update_rate > 0.0:
         # Pseudo-labels come from the aligned space; the raw-anchored
         # centroids are blended with raw batch rows so the stored model and
         # its per-batch aligned view stay in consistent coordinates.
-        if cfg.confidence_threshold is not None and view is not None:
-            mask = _confident_rows(view, x_aligned, cfg.confidence_threshold)
-        else:
-            mask = np.ones(batch.size, dtype=bool)
-        if mask.any():
-            classifier = update_classifier(
-                classifier, batch.features[mask], y_hat[mask], cfg.update_rate
-            )
-    accuracy = _batch_accuracy(y_hat, batch.labels)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
+        classifier = update_classifier(classifier, batch.features, y_hat, cfg.update_rate)
+    accuracy = None if batch.labels is None else float(np.mean(y_hat == batch.labels))
     record = BatchRecord(
-        index=state.batch_index + 1,
+        index=n,
         accuracy=accuracy,
         dist_source_mean=dist_source,
         dist_mean_step=dist_step,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=(time.perf_counter() - started) * 1000.0,
     )
-    new_state = replace(
-        state,
-        mean_state=mean_state,
-        feedback_transform=feedback,
-        classifier=classifier,
-        batch_index=state.batch_index + 1,
-        history=state.history + (record,),
-        avg_transform=avg_transform,
-        seen_subspaces=seen,
+    return y_hat, accuracy, replace(
+        advanced, classifier=classifier, batch_index=n, record=record
     )
-    return y_hat, accuracy, new_state

@@ -382,9 +382,9 @@ def test_criterion_9_variant_reduction_trace():
             worst,
             geodesic_distance(state.mean_state.mean, mean_state.mean),
             float(np.abs(state.feedback_transform.g - transform.g).max()),
-            abs(state.history[-1].accuracy - float(np.mean(expected == batch.labels))),
+            abs(state.record.accuracy - float(np.mean(expected == batch.labels))),
             abs(
-                state.history[-1].dist_source_mean
+                state.record.dist_source_mean
                 - geodesic_distance(source, mean_state.mean)
             ),
         )

@@ -97,6 +97,14 @@ class TestRunExperiment:
             assert a.accuracy == b.accuracy
             assert abs(a.dist_source_mean - b.dist_source_mean) <= 1e-12
 
+    def test_rerun_from_report_echoing_the_removed_confidence_gate(self):
+        # Reports written while PipelineConfig had a confidence_threshold
+        # field echo it as null.
+        stream = mild_drift_stream(n_batches=5)
+        report = run_experiment(stream, base_config(), "icms")
+        replay = rerun_from_report(dict(report.config, confidence_threshold=None))
+        assert [r.accuracy for r in replay.records] == [r.accuracy for r in report.records]
+
     def test_partial_report_flushed_on_abort(self, tmp_path):
         stream = mild_drift_stream(n_batches=10)
         bad = stream.batches[:3] + (object(),)  # poison the fourth batch
