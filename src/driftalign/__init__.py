@@ -16,7 +16,6 @@ from .classifiers import (
 from .errors import (
     AngleClampWarning,
     AngleOutOfRange,
-    BadNodeCount,
     BadParameter,
     BlendOutOfRange,
     ConfigError,
@@ -95,7 +94,6 @@ from .transforms import (
     delta_blocks,
     gfk_transform,
     lambda_blocks,
-    quadrature_transform,
 )
 
 __version__ = "0.1.0"

@@ -12,16 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    BadParameter,
-    ConfigError,
-    CsvParseError,
-    CutLocusError,
-    DriftAlignError,
-    LabelOutOfRange,
-    NoConvergence,
-    RankDeficient,
-)
+from .errors import BadParameter, CsvParseError, DriftAlignError, LabelOutOfRange
 from .pipeline import PipelineConfig
 from .experiments import VARIANTS, compare_means, run_experiment, sweep
 from .streams import (
@@ -293,9 +284,6 @@ def main(argv: list[str] | None = None) -> int:
     except (CsvParseError, LabelOutOfRange, BadParameter, FileNotFoundError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except (CutLocusError, NoConvergence, RankDeficient, ConfigError) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except DriftAlignError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

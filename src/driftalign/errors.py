@@ -29,10 +29,6 @@ class LengthMismatch(DriftAlignError, ValueError):
     """Angle vectors of different lengths were paired."""
 
 
-class BadNodeCount(DriftAlignError, ValueError):
-    """Composite Simpson quadrature needs an odd node count >= 3."""
-
-
 class NoConvergence(DriftAlignError, RuntimeError):
     """Iteration budget exhausted with the residual still far from tolerance."""
 

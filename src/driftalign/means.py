@@ -98,26 +98,26 @@ def karcher_mean(
         NoConvergence: if the budget is exhausted and the residual is
             still above 10 * tol.
         CutLocusError: if some subspace reaches the cut locus of an iterate.
+        ValueError: on an empty input or a negative ``max_iter``.
     """
     if len(subspaces) == 0:
         raise ValueError("karcher_mean needs at least one subspace")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     m = len(subspaces)
     mu = subspaces[0]
-    residual = np.inf
-    for iteration in range(max_iter):
+    for iteration in range(max_iter + 1):
         average = sum(log_map(mu, p) for p in subspaces) / m
         residual = float(np.linalg.norm(average))
-        if residual < tol:
-            return KarcherResult(subspace=mu, iterations=iteration, residual=residual)
+        if residual < tol or iteration == max_iter:
+            break
         mu = exp_map(mu, average)
-    average = sum(log_map(mu, p) for p in subspaces) / m
-    residual = float(np.linalg.norm(average))
     if residual > 10.0 * tol:
         raise NoConvergence(
             f"Karcher iteration hit max_iter={max_iter} with residual "
             f"{residual:.3e} > 10*tol"
         )
-    return KarcherResult(subspace=mu, iterations=max_iter, residual=residual)
+    return KarcherResult(subspace=mu, iterations=iteration, residual=residual)
 
 
 def karcher_residual(

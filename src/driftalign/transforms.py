@@ -11,10 +11,9 @@ with diagonal blocks
     lambda2 = (cos(2 theta) - 1) / (2 theta)
     lambda3 = 1 - sin(2 theta) / (2 theta)
 
-which equals twice the integral of Phi(t) Phi(t)^T over t in [0, 1]; the
-quadrature oracle below therefore integrates 2 * Phi Phi^T so the two
-routes agree. The global positive scale is immaterial to nearest-class-mean
-decisions once source and target are transformed consistently.
+which equals twice the integral of Phi(t) Phi(t)^T over t in [0, 1]. The
+global positive scale is immaterial to nearest-class-mean decisions once
+source and target are transformed consistently.
 
 The cumulative variant additionally integrates over the family of geodesics
 swept while the mean-target subspace moves between two consecutive states,
@@ -26,8 +25,8 @@ accurate to O(theta^2) relative error and indefinite for large angles.
 Both closed forms are kept factored, G = L C L^T with L = [P U3, H]
 (d x 2k) and the symmetric block-diagonal core C (2k x 2k), and applied as
 ((x L) C) L^T in O(n d k) instead of O(n d^2). The dense d x d matrix is
-built only when asked for. The identity, the Simpson oracle and the
-running average of matrices have no such factors and are stored dense.
+built only when asked for. The identity and the running average of
+matrices have no such factors and are stored dense.
 """
 
 from __future__ import annotations
@@ -36,14 +35,8 @@ import logging
 
 import numpy as np
 
-from .errors import AngleOutOfRange, BadNodeCount, DimensionMismatch, LengthMismatch
-from .grassmann import (
-    Subspace,
-    _check_cut_locus,
-    exp_map,
-    log_map,
-    principal_decomposition,
-)
+from .errors import AngleOutOfRange, DimensionMismatch, LengthMismatch
+from .grassmann import Subspace, _check_cut_locus, principal_decomposition
 
 logger = logging.getLogger(__name__)
 
@@ -64,10 +57,10 @@ class TransformMatrix:
     :meth:`factored` and keep G = left @ core @ left.T, with ``left`` d x 2k
     and ``core`` 2k x 2k symmetric, plus the principal angles ``theta`` of
     the source-to-target pair they were built from. Constructing from a
-    d x d array (the identity, the Simpson oracle, the running average of
-    matrices) keeps that array; ``left``, ``core`` and ``theta`` are then
-    None. ``g`` is the dense matrix in either form, built from the factors
-    on first access and cached.
+    d x d array (the identity, the running average of matrices) keeps that
+    array; ``left``, ``core`` and ``theta`` are then None. ``g`` is the
+    dense matrix in either form, built from the factors on first access
+    and cached.
     """
 
     __slots__ = ("left", "core", "theta", "_g")
@@ -213,34 +206,6 @@ def gfk_transform(p_source: Subspace, p_target: Subspace) -> TransformMatrix:
     return _sandwich(
         p_source, decomposition.u1, decomposition.h, lambda_blocks(theta), theta
     )
-
-
-def quadrature_transform(
-    p_source: Subspace, p_target: Subspace, nodes: int
-) -> TransformMatrix:
-    """Composite-Simpson approximation of 2 * integral of Phi(t) Phi(t)^T.
-
-    Independent numerical route for :func:`gfk_transform`: the flow points
-    come from exp_map(P_s, t log_map(P_s, P_t)), not from the principal
-    decomposition the closed form uses. Converges to the closed form as the
-    node count grows.
-
-    Raises:
-        BadNodeCount: unless ``nodes`` is odd and at least 3.
-    """
-    if nodes < 3 or nodes % 2 == 0:
-        raise BadNodeCount(f"Simpson rule needs an odd node count >= 3, got {nodes}")
-    velocity = log_map(p_source, p_target)
-    ts = np.linspace(0.0, 1.0, nodes)
-    weights = np.ones(nodes)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= (ts[1] - ts[0]) / 3.0
-    d = p_source.ambient_dim
-    g = np.zeros((d, d))
-    for w, t in zip(weights, ts):
-        g += (2.0 * w) * exp_map(p_source, t * velocity).projector()
-    return TransformMatrix(0.5 * (g + g.T))
 
 
 def cumulative_transform(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftalign import Subspace, exp_map, orthonormalize
+from driftalign import Subspace, TransformMatrix, exp_map, orthonormalize
 
 
 def random_subspace(d, k, rng):
@@ -25,6 +25,43 @@ def line_angle(s):
     """Angle in [0, pi) of a 1-D subspace of R^2."""
     x, y = s.basis[:, 0]
     return float(np.arctan2(y, x)) % np.pi
+
+
+def textbook_log(base, x):
+    """Log map by the textbook route, independent of the thin decomposition.
+
+    With w = (I - P P^T) Q (P^T Q)^-1 = U diag(tan theta) V^T (thin SVD),
+    the tangent is U diag(arctan tan theta) V^T (Absil, Mahony & Sepulchre,
+    2008). Inverting P^T Q loses digits near the cut locus, so it is a
+    reference only for pairs well inside it.
+    """
+    m = base.basis.T @ x.basis
+    w = (x.basis - base.basis @ m) @ np.linalg.inv(m)
+    u, tan, vt = np.linalg.svd(w, full_matrices=False)
+    return (u * np.arctan(tan)) @ vt
+
+
+def quadrature_transform(p_source, p_target, nodes):
+    """Composite-Simpson approximation of 2 * integral of Phi(t) Phi(t)^T.
+
+    Independent numerical route for ``gfk_transform``: the flow points come
+    from exp_map(P_s, t textbook_log(P_s, P_t)), not from the principal
+    decomposition the closed form uses. Converges to the closed form as the
+    node count grows. Raises ValueError unless ``nodes`` is odd and >= 3.
+    """
+    if nodes < 3 or nodes % 2 == 0:
+        raise ValueError(f"Simpson rule needs an odd node count >= 3, got {nodes}")
+    velocity = textbook_log(p_source, p_target)
+    ts = np.linspace(0.0, 1.0, nodes)
+    weights = np.ones(nodes)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= (ts[1] - ts[0]) / 3.0
+    d = p_source.ambient_dim
+    g = np.zeros((d, d))
+    for w, t in zip(weights, ts):
+        g += (2.0 * w) * exp_map(p_source, t * velocity).projector()
+    return TransformMatrix(0.5 * (g + g.T))
 
 
 @pytest.fixture

@@ -39,13 +39,12 @@ from driftalign import (
     principal_angles,
     principal_decomposition,
     process_batch,
-    quadrature_transform,
     run_experiment,
 )
 from driftalign.pipeline import _aligned_view
 from driftalign.transforms import _sandwich, cumulative_transform
 
-from conftest import perturbed, random_subspace
+from conftest import perturbed, quadrature_transform, random_subspace
 
 
 def verdict(number, ok, detail):

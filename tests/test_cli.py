@@ -148,6 +148,14 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_numerical_error_config(self):
+        # k = 6 exceeds d/2 = 5: a ConfigError, reported as exit 3.
+        code = run_cli(
+            "run", "--generate", "stationary", "--feature-dim", "10",
+            "--subspace-dim", "6",
+        )
+        assert code == 3
+
 
 class TestSweepCommand:
     def test_sweep_report(self, tmp_path):

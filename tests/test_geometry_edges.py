@@ -1,12 +1,12 @@
 """Edge cases of the one geodesic path: property tests on analytic pairs (the
-decomposition, the flow, the incremental mean and the closed-form transform)
-and the stage named by every cut-locus refusal.
+decomposition, the flow, the exp/log round trip, the incremental mean and
+the closed-form transform) and the stage named by every cut-locus refusal.
 
 The pairs are built from their principal angles, P1 = A and
 P2 = A cos(theta) + B sin(theta) with [A B] orthonormal, then rotated within
-each subspace, so the expected angles are known exactly. Near the cut locus
-the exp/log route loses digits (endpoint errors up to about 5e-3 at
-pi/2 - 1e-7 on G(4, 20)), so it is not used as the reference here.
+each subspace, so the expected angles are known exactly. The log map is
+read off the same thin decomposition as the flow, so the exp/log round trip
+holds to the same bounds up to pi/2 - 1e-7.
 """
 
 import numpy as np
@@ -21,12 +21,14 @@ from driftalign import (
     apply_transform,
     compensate,
     cumulative_transform,
+    exp_map,
     geodesic,
     geodesic_distance,
     geodesic_point,
     gfk_transform,
     icms_update,
     init_mean,
+    log_map,
     predict_next,
     principal_decomposition,
 )
@@ -93,6 +95,13 @@ def test_endpoints(pair):
 
 
 @edge_settings
+@given(analytic_pairs())
+def test_exp_of_log_returns_to_the_second_point(pair):
+    p1, p2, theta = pair
+    assert geodesic_distance(exp_map(p1, log_map(p1, p2)), p2) < _tol(theta)
+
+
+@edge_settings
 @given(analytic_pairs(), st.floats(min_value=0.0, max_value=1.0))
 def test_distance_along_flow_is_t_times_arc_length(pair, t):
     p1, p2, theta = pair
@@ -129,6 +138,7 @@ def test_gfk_dense_form_is_symmetric_and_equals_the_factored_apply(pair):
         ("predict_next", predict_next),
         ("compensate", lambda a, b: compensate(b, a, 0.5)),
         ("gfk_transform", gfk_transform),
+        ("log_map", log_map),
         (
             r"cumulative_transform \(source vs previous mean\)",
             lambda a, b: cumulative_transform(a, b, b),

@@ -2,9 +2,10 @@
 
 A change that restructures the pipeline without meaning to alter its
 numbers must reproduce these records: the accuracies exactly, the distance
-diagnostics to 1e-8 (the ``karcher`` diagnostics depend on the basis that
-represents each observed subspace at ~1e-10). Regenerate the file only for
-a change that is meant to alter the numbers:
+diagnostics to 1e-12 (every variant's diagnostics, the ``karcher``
+reference's included, are independent of the basis that represents each
+subspace up to rounding, so a larger drift means the numbers changed).
+Regenerate the file only for a change that is meant to alter the numbers:
 
     PYTHONPATH=src python tests/test_golden_records.py
 """
@@ -17,7 +18,7 @@ from driftalign.classifiers import KINDS
 from driftalign.experiments import VARIANTS
 
 GOLDEN = Path(__file__).parent / "data" / "golden_records.json"
-DIST_TOL = 1e-8
+DIST_TOL = 1e-12
 
 
 def golden_runs() -> dict:

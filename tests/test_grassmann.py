@@ -17,7 +17,7 @@ from driftalign import (
     principal_decomposition,
 )
 
-from conftest import line, line_angle, perturbed, random_subspace
+from conftest import line, line_angle, perturbed, random_subspace, textbook_log
 
 
 class TestSubspace:
@@ -237,6 +237,13 @@ class TestLogExp:
         tangent *= 0.4 / np.linalg.norm(tangent)
         recovered = log_map(base, exp_map(base, tangent))
         assert np.linalg.norm(recovered - tangent) < 1e-7
+
+    @pytest.mark.parametrize("d, k", [(12, 3), (30, 5), (40, 20)])
+    def test_matches_textbook_formula(self, d, k, rng):
+        for _ in range(10):
+            base = random_subspace(d, k, rng)
+            x = random_subspace(d, k, rng)
+            assert np.abs(log_map(base, x) - textbook_log(base, x)).max() < 1e-12
 
     def test_exp_of_zero_is_base(self, rng):
         base = random_subspace(12, 3, rng)

@@ -142,6 +142,19 @@ class TestKarcherMean:
             karcher_mean([])
 
 
+    def test_negative_max_iter_rejected(self, rng):
+        with pytest.raises(ValueError, match="max_iter"):
+            karcher_mean([random_subspace(12, 3, rng)], max_iter=-1)
+
+    def test_zero_max_iter_returns_the_start(self, rng):
+        subspaces = [random_subspace(12, 3, rng) for _ in range(2)]
+        # Not converged at the start, but within the 10 * tol allowance.
+        tol = 0.5 * karcher_residual(subspaces[0], subspaces) / len(subspaces)
+        result = karcher_mean(subspaces, tol=tol, max_iter=0)
+        assert result.subspace is subspaces[0] and result.iterations == 0
+        assert abs(result.residual - 2.0 * tol) < 1e-15
+
+
 class TestKarcherResidual:
     def test_zero_at_single_point(self, rng):
         p = random_subspace(12, 3, rng)

@@ -4,6 +4,7 @@ import pytest
 from driftalign import (
     ConfigError,
     DimensionMismatch,
+    DriftParams,
     PipelineConfig,
     RankDeficient,
     Stream,
@@ -13,6 +14,7 @@ from driftalign import (
     average_accuracy,
     classify,
     compensate,
+    generate_drift_stream,
     geodesic_distance,
     gfk_transform,
     icms_update,
@@ -442,6 +444,34 @@ class TestProcessBatch:
         report = run_experiment(stream, cfg, "icms")
         assert report.summary["skipped_batches"] == 1
         assert report.summary["batches"] == 2
+
+    def test_karcher_records_do_not_depend_on_the_basis(self, monkeypatch):
+        # Every PCA basis replaced by another basis of the same subspace:
+        # the Karcher reference must give the same records.
+        import driftalign.pipeline as pipeline
+
+        stream = generate_drift_stream(
+            DriftParams(
+                seed=11, feature_dim=30, n_classes=2, n_batches=60, batch_size=20,
+                drift_kind="stationary", class_sep=30.0, n_source=400,
+                target_offset=0.35,
+            )
+        )
+        cfg = PipelineConfig(subspace_dim=5, batch_size=20, seed=11)
+        plain = run_experiment(stream, cfg, "karcher").records
+        pca = pipeline.pca_subspace
+        rotations = np.random.default_rng(11)
+
+        def rotated_pca(x, k):
+            q, _ = np.linalg.qr(rotations.standard_normal((k, k)))
+            return orthonormalize(pca(x, k).basis @ q)
+
+        monkeypatch.setattr(pipeline, "pca_subspace", rotated_pca)
+        rotated = run_experiment(stream, cfg, "karcher").records
+        assert [r.accuracy for r in rotated] == [r.accuracy for r in plain]
+        for a, b in zip(rotated, plain):
+            assert abs(a.dist_source_mean - b.dist_source_mean) < 1e-12
+            assert abs(a.dist_mean_step - b.dist_mean_step) < 1e-12
 
     def test_dimension_mismatch_propagates(self, rng):
         x, y = gaussian_source(rng)
