@@ -113,6 +113,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 def _config_value(action: argparse.Action, key: str, raw: str):
     """A config-file string converted and checked as its flag would be."""
     if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+        if raw.lower() not in ("true", "false"):
+            raise UsageError(f"config key {key}: expected true or false, got {raw!r}")
         value = raw.lower() == "true"
     elif action.type is not None:
         try:

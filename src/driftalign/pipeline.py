@@ -284,7 +284,14 @@ def _icms_step(
             observed = compensate(predicted, observed, cfg.blend)
         mean_state = icms_update(previous, observed)
     if cfg.use_cumulative and mean_state.prev_mean is not None:
-        transform = cumulative_transform(source, mean_state.prev_mean, mean_state.mean)
+        # The last transform was built for (source, prev_mean): its angles
+        # and directions start the sweep, and icms_update bounds the step.
+        transform = cumulative_transform(
+            source,
+            mean_state.prev_mean,
+            mean_state.mean,
+            previous=state.feedback_transform,
+        )
     else:
         transform = gfk_transform(source, mean_state.mean)
     advanced = replace(state, mean_state=mean_state, feedback_transform=transform)

@@ -391,6 +391,8 @@ def stream_from_params(params: dict, batch_size: int | None = None) -> Stream:
             n_classes=params["n_classes"],
             source_fraction=params["source_fraction"],
             has_header=params["has_header"],
+            # A file that has since grown or shrunk would shift the split.
+            total_rows=params.get("total_rows"),
         )
         return load_csv_stream(spec.path, spec, params["batch_size"])
     raise BadParameter(f"cannot rebuild a stream of kind {kind!r}")

@@ -55,15 +55,18 @@ class TransformMatrix:
     How the transform was made picks its form. The closed forms
     (:func:`gfk_transform`, :func:`cumulative_transform`) come from
     :meth:`factored` and keep G = left @ core @ left.T, with ``left`` d x 2k
-    and ``core`` 2k x 2k symmetric, plus the principal angles ``theta`` of
-    the source-to-target pair they were built from. Constructing from a
-    d x d array (the identity, the running average of matrices) keeps that
-    array; ``left``, ``core`` and ``theta`` are then None. ``g`` is the
-    dense matrix in either form, built from the factors on first access
-    and cached.
+    and ``core`` 2k x 2k symmetric, plus the principal angles ``theta`` and
+    the k x k rotation ``u1`` of the source-to-target decomposition they
+    were built from. ``theta`` and ``u1`` are what the next
+    :func:`cumulative_transform` reads as the start of its sweep (its
+    ``previous``), so that pair is not decomposed twice. Constructing from
+    a d x d array (the identity, the running average of matrices) keeps
+    that array; ``left``, ``core``, ``theta`` and ``u1`` are then None.
+    ``g`` is the dense matrix in either form, built from the factors on
+    first access and cached. Every stored array is read-only.
     """
 
-    __slots__ = ("left", "core", "theta", "_g")
+    __slots__ = ("left", "core", "theta", "u1", "_g")
 
     def __init__(self, g: np.ndarray):
         g = np.array(g, dtype=float, copy=True, order="C")
@@ -75,11 +78,15 @@ class TransformMatrix:
             raise ValueError("transform is not symmetric within 1e-9")
         g = 0.5 * (g + g.T)
         g.setflags(write=False)
-        self._set(left=None, core=None, theta=None, _g=g)
+        self._set(left=None, core=None, theta=None, u1=None, _g=g)
 
     @classmethod
     def factored(
-        cls, left: np.ndarray, core: np.ndarray, theta: np.ndarray | None = None
+        cls,
+        left: np.ndarray,
+        core: np.ndarray,
+        theta: np.ndarray | None = None,
+        u1: np.ndarray | None = None,
     ) -> "TransformMatrix":
         """The transform left @ core @ left.T, kept as its factors."""
         left = np.array(left, dtype=float, copy=True, order="C")
@@ -95,11 +102,13 @@ class TransformMatrix:
         core = 0.5 * (core + core.T)
         if theta is not None:
             theta = np.array(theta, dtype=float)
-        for array in (left, core, theta):
+        if u1 is not None:
+            u1 = np.array(u1, dtype=float)
+        for array in (left, core, theta, u1):
             if array is not None:
                 array.setflags(write=False)
         transform = cls.__new__(cls)
-        transform._set(left=left, core=core, theta=theta, _g=None)
+        transform._set(left=left, core=core, theta=theta, u1=u1, _g=None)
         return transform
 
     def _set(self, **fields) -> None:
@@ -195,7 +204,7 @@ def _sandwich(
     core = np.block(
         [[np.diag(b1), np.diag(b2)], [np.diag(b2), np.diag(b3)]]
     )
-    return TransformMatrix.factored(left, core, theta)
+    return TransformMatrix.factored(left, core, theta, u3)
 
 
 def gfk_transform(p_source: Subspace, p_target: Subspace) -> TransformMatrix:
@@ -209,7 +218,11 @@ def gfk_transform(p_source: Subspace, p_target: Subspace) -> TransformMatrix:
 
 
 def cumulative_transform(
-    p_source: Subspace, p_mean_prev: Subspace, p_mean_cur: Subspace
+    p_source: Subspace,
+    p_mean_prev: Subspace,
+    p_mean_cur: Subspace,
+    *,
+    previous: TransformMatrix | None = None,
 ) -> TransformMatrix:
     """Alignment matrix integrated over the sweep between consecutive means.
 
@@ -218,26 +231,52 @@ def cumulative_transform(
     mean); the two angle vectors are paired by sort order as printed. When
     the principal directions of the two decompositions differ by more than
     0.3 rad this pairing is a rough approximation and a warning is logged.
+
+    ``previous``, when given, is the closed-form transform already built
+    for (``p_source``, ``p_mean_prev``): theta(0) and the start directions
+    are read from its ``theta`` and ``u1``, whose angles were checked when
+    it was built, instead of decomposing that pair again. The (previous,
+    current mean) cut-locus check is then the caller's. The pipeline can
+    skip it: :func:`~driftalign.means.icms_update` refuses an observed
+    subspace whose largest angle to the previous mean reaches
+    pi/2 - 1e-8 and puts the new mean at t = 1/n, n >= 2, on that geodesic,
+    so the largest (previous, current) angle is at most pi/4. Without
+    ``previous`` all three pairs are checked, each under its stage name.
+
+    Raises:
+        CutLocusError: if a checked pair is at the cut locus.
+        ValueError: if ``previous`` has no (theta, u1) factors or was built
+            for another subspace dimension.
     """
-    start = principal_decomposition(p_source, p_mean_prev)
-    theta0 = start.theta
-    _check_cut_locus(theta0, "cumulative_transform (source vs previous mean)")
-    # Only the largest (prev, cur) angle matters here, and the cosine route
-    # is exact near pi/2.
-    cos_step = np.linalg.svd(
-        p_mean_prev.basis.T @ p_mean_cur.basis, compute_uv=False
-    )
-    _check_cut_locus(
-        np.arccos(np.clip(cos_step, 0.0, 1.0)),
-        "cumulative_transform (previous vs current mean)",
-    )
+    if previous is None:
+        start = principal_decomposition(p_source, p_mean_prev)
+        theta0, u1_start = start.theta, start.u1
+        _check_cut_locus(theta0, "cumulative_transform (source vs previous mean)")
+        # Only the largest (prev, cur) angle matters here, and the cosine
+        # route is exact near pi/2.
+        cos_step = np.linalg.svd(
+            p_mean_prev.basis.T @ p_mean_cur.basis, compute_uv=False
+        )
+        _check_cut_locus(
+            np.arccos(np.clip(cos_step, 0.0, 1.0)),
+            "cumulative_transform (previous vs current mean)",
+        )
+    else:
+        theta0, u1_start = previous.theta, previous.u1
+        if theta0 is None or u1_start is None:
+            raise ValueError("previous transform carries no (theta, u1) factors")
+        if theta0.shape != (p_source.sub_dim,):
+            raise ValueError(
+                f"previous transform starts from {theta0.size} angles, "
+                f"expected k={p_source.sub_dim}"
+            )
     end = principal_decomposition(p_source, p_mean_cur)
     theta1 = end.theta
     _check_cut_locus(theta1, "cumulative_transform (source vs current mean)")
 
     # Per-column mismatch between the paired principal directions, sign
     # ambiguity removed; columns of both factors are angle-sorted.
-    matched = np.abs(np.einsum("ij,ij->j", start.u1, end.u1))
+    matched = np.abs(np.einsum("ij,ij->j", u1_start, end.u1))
     rotation = np.arccos(np.clip(matched, 0.0, 1.0))
     if rotation.max() > DIRECTION_MISMATCH_LIMIT:
         logger.warning(

@@ -116,6 +116,23 @@ class TestRun:
         assert code == 1
         assert "invalid choice 'nope'" in capsys.readouterr().err
 
+    def test_config_boolean_other_than_true_or_false_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        flags = (
+            "--generate", "stationary", "--feature-dim", "20", "--batches", "4",
+            "--batch-size", "10", "--signal-dim", "4", "--source-size", "60",
+            "--subspace-dim", "4",
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("adaptive=yes\n")
+        assert run_cli("run", "--config", str(cfg), *flags) == 1
+        assert "expected true or false, got 'yes'" in capsys.readouterr().err
+        cfg.write_text("adaptive=TRUE\n")
+        assert run_cli("run", "--config", str(cfg), *flags) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["adaptive_classifier"] is True
+
 
 class TestExitCodes:
     def test_usage_error(self):

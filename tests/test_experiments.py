@@ -5,15 +5,20 @@ import pytest
 
 from driftalign import (
     BadParameter,
+    CsvParseError,
+    DatasetSpec,
     DriftParams,
     PipelineConfig,
     average_accuracy,
     compare_means,
     config_for_variant,
     generate_drift_stream,
+    load_csv_stream,
     rerun_from_report,
     run_experiment,
+    stream_from_params,
     sweep,
+    write_csv_stream,
 )
 
 
@@ -104,6 +109,25 @@ class TestRunExperiment:
         report = run_experiment(stream, base_config(), "icms")
         replay = rerun_from_report(dict(report.config, confidence_threshold=None))
         assert [r.accuracy for r in replay.records] == [r.accuracy for r in report.records]
+
+    def test_rerun_of_a_grown_csv_file_is_refused(self, tmp_path):
+        path = tmp_path / "stream.csv"
+        write_csv_stream(mild_drift_stream(n_batches=5), path)
+        spec = DatasetSpec(
+            path=path, feature_dim=30, n_classes=2, source_fraction=300 / 400
+        )
+        report = run_experiment(load_csv_stream(path, spec, 20), base_config(), "icms")
+        replay = rerun_from_report(report.config)
+        assert [r.accuracy for r in replay.records] == [r.accuracy for r in report.records]
+        rows = path.read_text().splitlines(keepends=True)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.writelines(rows[-5:])
+        with pytest.raises(CsvParseError, match="expected 400 data rows, found 405"):
+            rerun_from_report(report.config)
+        # Params echoed without the row count still load, whatever the size.
+        params = dict(report.config["stream"])
+        del params["total_rows"]
+        assert stream_from_params(params).params["total_rows"] == 405
 
     def test_partial_report_flushed_on_abort(self, tmp_path):
         stream = mild_drift_stream(n_batches=10)

@@ -30,6 +30,7 @@ from driftalign import (
     init_mean,
     log_map,
     predict_next,
+    principal_angles,
     principal_decomposition,
 )
 
@@ -118,6 +119,11 @@ def test_icms_update_splits_the_arc_one_to_n_minus_one(pair, n):
     new = icms_update(MeanState(mean=p1, prev_mean=None, count=n - 1), p2).mean
     assert abs(geodesic_distance(p1, new) - arc / n) < _tol(theta)
     assert abs(geodesic_distance(new, p2) - (n - 1) * arc / n) < _tol(theta)
+    # The bound a carried cumulative_transform start relies on: the mean
+    # moves by at most theta_max / n <= pi/4, far from the cut locus.
+    step = principal_angles(p1, new)[-1]
+    assert abs(step - theta[-1] / n) < _tol(theta)
+    assert step <= np.pi / 4
 
 
 @edge_settings

@@ -14,6 +14,7 @@ from driftalign import (
     average_accuracy,
     classify,
     compensate,
+    cumulative_transform,
     generate_drift_stream,
     geodesic_distance,
     gfk_transform,
@@ -395,6 +396,51 @@ class TestProcessBatch:
             assert abs(ra.dist_source_mean - rb.dist_source_mean) <= 1e-12
             assert abs(ra.dist_mean_step - rb.dist_mean_step) <= 1e-12
         assert np.array_equal(a.classifier.centroids, b.classifier.centroids)
+
+    @pytest.mark.parametrize("variant", ["icms-cumul", "icms-fb-cumul"])
+    def test_carried_cumulative_start_equals_recomputation(self, variant, monkeypatch):
+        # From batch 2 on the sweep starts from the last transform's angles
+        # and directions: the result must be the three-argument call's, bit
+        # for bit, at two SVDs per batch (icms_update's and the current
+        # mean's decomposition; the Gram-route PCA makes none).
+        stream = generate_drift_stream(
+            DriftParams(
+                seed=5, feature_dim=512, n_classes=2, n_batches=12, batch_size=120,
+                drift_kind="rotation", drift_rate=0.005, signal_dim=100,
+                class_sep=30.0, signal_spread=tuple(np.linspace(3.0, 2.0, 100)),
+                n_source=600, target_offset=0.3,
+            )
+        )
+        cfg = config_for_variant(
+            PipelineConfig(subspace_dim=100, batch_size=120, adaptive_classifier=True),
+            variant,
+        )
+        state = init_pipeline(stream.source_x, stream.source_y, cfg)
+        svd = np.linalg.svd
+        calls = []
+
+        def counted_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        for batch in stream.batches:
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", counted_svd)
+                y_hat, _, state = process_batch(state, batch, cfg)
+            assert y_hat is not None
+            if state.batch_index == 1:
+                continue
+            assert len(calls) == 2, (state.batch_index, calls)
+            mean_state = state.mean_state
+            fresh = cumulative_transform(
+                state.source_subspace, mean_state.prev_mean, mean_state.mean
+            )
+            carried = state.feedback_transform
+            assert np.array_equal(carried.left, fresh.left), state.batch_index
+            assert np.array_equal(carried.core, fresh.core), state.batch_index
+            assert np.array_equal(carried.theta, fresh.theta), state.batch_index
+        assert state.batch_index == 12
 
     def test_cut_locus_batch_skipped_with_state_unchanged(self, rng, caplog):
         import logging

@@ -261,6 +261,30 @@ class TestCumulativeTransform:
         assert eigenvalues.min() > -1e-8
         assert eigenvalues.max() < 2.0 + 1e-8
 
+    def test_previous_start_equals_the_three_argument_call(self, rng):
+        ps = random_subspace(12, 3, rng)
+        pm_prev = perturbed(ps, 0.15, rng)
+        pm_cur = perturbed(pm_prev, 0.05, rng)
+        previous = gfk_transform(ps, pm_prev)
+        carried = cumulative_transform(ps, pm_prev, pm_cur, previous=previous)
+        fresh = cumulative_transform(ps, pm_prev, pm_cur)
+        for name in ("left", "core", "theta", "u1"):
+            assert np.array_equal(getattr(carried, name), getattr(fresh, name)), name
+
+    def test_previous_without_factors_rejected(self, rng):
+        ps = random_subspace(12, 3, rng)
+        pm = perturbed(ps, 0.1, rng)
+        with pytest.raises(ValueError, match="no .theta, u1. factors"):
+            cumulative_transform(ps, pm, pm, previous=TransformMatrix.identity(12))
+
+    def test_previous_of_another_dimension_rejected(self, rng):
+        ps = random_subspace(12, 3, rng)
+        pm = perturbed(ps, 0.1, rng)
+        wider = random_subspace(12, 4, rng)
+        previous = gfk_transform(wider, perturbed(wider, 0.1, rng))
+        with pytest.raises(ValueError, match="from 4 angles, expected k=3"):
+            cumulative_transform(ps, pm, pm, previous=previous)
+
     def test_direction_mismatch_warned(self, rng, caplog):
         import logging
 
@@ -356,7 +380,8 @@ class TestFactoredTransformMatrix:
     def test_dense_forms_carry_no_factors(self):
         identity = TransformMatrix.identity(4)
         assert identity.left is None and identity.core is None
-        assert identity.theta is None and identity.dim == 4
+        assert identity.theta is None and identity.u1 is None
+        assert identity.dim == 4
 
     def test_rejects_bad_factors(self, rng):
         left = rng.standard_normal((8, 4))
@@ -372,3 +397,10 @@ class TestFactoredTransformMatrix:
         transform = TransformMatrix.identity(3)
         with pytest.raises(AttributeError):
             transform.left = np.eye(3)
+        ps = random_subspace(12, 3, rng)
+        factored = gfk_transform(ps, perturbed(ps, 0.2, rng))
+        assert factored.u1.shape == (3, 3) and not factored.u1.flags.writeable
+        with pytest.raises(ValueError):
+            factored.u1[0, 0] = 2.0
+        with pytest.raises(AttributeError):
+            factored.u1 = np.eye(3)
