@@ -183,6 +183,7 @@ def pca_subspace(x: np.ndarray, k: int) -> Subspace:
     Raises:
         RankDeficient: if the centered scatter has numerical rank < k
             (including the case of too few rows, k > N - 1).
+        ValueError: if a sample, or the centering of one, is not finite.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -192,8 +193,8 @@ def pca_subspace(x: np.ndarray, k: int) -> Subspace:
         raise RankDeficient(
             f"{n} rows give a centered scatter of rank at most {n - 1} < k={k}"
         )
-    centered = x - x.mean(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=0)
         gram = centered @ centered.T if n < d else centered.T @ centered
     if np.isfinite(gram).all():
         evals, vecs = np.linalg.eigh(gram)
@@ -202,6 +203,9 @@ def pca_subspace(x: np.ndarray, k: int) -> Subspace:
             vecs = vecs[:, : -k - 1 : -1]
             basis = (centered.T @ vecs) / np.sqrt(top) if n < d else vecs
             return orthonormalize(basis)
+    if not np.isfinite(centered).all():
+        # LAPACK's SVD can spin forever on an inf entry.
+        raise ValueError("centered samples contain non-finite values")
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     if s[0] == 0.0 or s[k - 1] <= 1e-10 * s[0]:
         raise RankDeficient(f"centered data has numerical rank < k={k}")
@@ -226,8 +230,19 @@ def recursive_feedback(batch: StreamBatch, transform: TransformMatrix) -> Stream
 def init_pipeline(
     x_s: np.ndarray, y_s: np.ndarray, cfg: PipelineConfig
 ) -> PipelineState:
-    """Embed the source once, train the classifier, start with an identity feedback."""
+    """Embed the source once, train the classifier, start with an identity feedback.
+
+    Raises:
+        ValueError: if ``x_s`` is not a finite 2-D matrix or ``y_s`` does
+            not hold one label per row, as ``StreamBatch`` checks a batch.
+    """
     x_s = np.asarray(x_s, dtype=float)
+    if x_s.ndim != 2:
+        raise ValueError(f"source features must be 2-D, got shape {x_s.shape}")
+    if not np.isfinite(x_s).all():
+        raise ValueError("source features contain non-finite values")
+    if np.shape(y_s) != (x_s.shape[0],):
+        raise ValueError("source labels must have one entry per feature row")
     d = x_s.shape[1]
     if 2 * cfg.subspace_dim > d:
         raise ConfigError(

@@ -5,12 +5,18 @@ prefix of the rows, and ingestion never reorders anything. The synthetic
 generator plants a low-dimensional signal frame in R^d, draws
 class-conditional Gaussians inside it, and drifts the frame over time so
 that ground-truth subspaces exist for oracle tests.
+
+Only oracle tests read that truth, and held eagerly its bases would
+outweigh the stream's own features at wide shapes (two d x k bases per
+batch against one batch of rows). So a stream keeps just what regenerates
+them, and the bases are built on first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +42,37 @@ class DatasetSpec:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Per-batch true subspaces of a synthetic stream (clean and jittered)."""
+    """Per-batch true subspaces of a synthetic stream, built on first read.
 
-    clean: tuple[Subspace, ...]
-    observed: tuple[Subspace, ...]
+    ``clean`` holds each batch's drifting frame and ``observed`` the frame
+    its rows were drawn from (jittered, for "noisy-rotation"); both are
+    cached tuples of Subspace. Only what regenerates them is stored: the
+    frame and partners after any target offset, each batch's rotation
+    angle per direction (None: the frame stays put, and one Subspace
+    serves every batch) and the jittered frames, whose draws interleave
+    with the sampling. Without jittered frames ``observed`` is ``clean``.
+    """
+
+    frame: np.ndarray
+    partners: np.ndarray
+    n_batches: int
+    angles: np.ndarray | None = None
+    jittered: tuple[np.ndarray, ...] | None = None
+
+    @cached_property
+    def clean(self) -> tuple[Subspace, ...]:
+        if self.angles is None:
+            return (orthonormalize(self.frame),) * self.n_batches
+        return tuple(
+            orthonormalize(_rotate_frame(self.frame, self.partners, angle))
+            for angle in self.angles
+        )
+
+    @cached_property
+    def observed(self) -> tuple[Subspace, ...]:
+        if self.jittered is None:
+            return self.clean
+        return tuple(orthonormalize(frame) for frame in self.jittered)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,8 +313,8 @@ def generate_drift_stream(params: DriftParams) -> Stream:
     across the planted directions, each turning into a dedicated
     orthogonal partner), the centroids translate, or the rotation is
     overlaid with per-batch subspace jitter of ``noise`` radians. The
-    returned ground truth records the clean and the jittered frame of
-    every batch.
+    returned ground truth yields the clean and the jittered frame of
+    every batch, built when first read.
     """
     p = params
     if p.drift_kind not in DRIFT_KINDS:
@@ -340,21 +373,24 @@ def generate_drift_stream(params: DriftParams) -> Stream:
     shift_direction = rng.standard_normal(d)
     shift_direction /= np.linalg.norm(shift_direction)
 
+    rotating = p.drift_kind in ("rotation", "noisy-rotation")
+    angles = (
+        np.arange(1, p.n_batches + 1) * p.drift_rate * per_direction
+        if rotating
+        else None
+    )
     batches = []
-    clean_truth = []
-    observed_truth = []
+    jittered = []
     for n in range(1, p.n_batches + 1):
-        if p.drift_kind in ("rotation", "noisy-rotation"):
-            clean = _rotate_frame(
-                target_frame, target_partners, n * p.drift_rate * per_direction
-            )
-        else:
-            clean = target_frame
-        observed = (
-            _jitter_frame(clean, p.noise, rng)
-            if p.drift_kind == "noisy-rotation"
-            else clean
+        clean = (
+            _rotate_frame(target_frame, target_partners, angles[n - 1])
+            if rotating
+            else target_frame
         )
+        observed = clean
+        if p.drift_kind == "noisy-rotation":
+            observed = _jitter_frame(clean, p.noise, rng)
+            jittered.append(observed)
         shift = (
             n * p.drift_rate * shift_direction
             if p.drift_kind == "mean-shift"
@@ -363,15 +399,20 @@ def generate_drift_stream(params: DriftParams) -> Stream:
         y = rng.integers(0, p.n_classes, size=p.batch_size)
         x = sample(observed, y, shift)
         batches.append(StreamBatch(features=x, labels=y))
-        clean_truth.append(orthonormalize(clean))
-        observed_truth.append(orthonormalize(observed))
 
+    truth = GroundTruth(
+        frame=target_frame,
+        partners=target_partners,
+        n_batches=p.n_batches,
+        angles=angles,
+        jittered=tuple(jittered) if p.drift_kind == "noisy-rotation" else None,
+    )
     return Stream(
         source_x=source_x,
         source_y=source_y,
         batches=tuple(batches),
         params=p.as_dict(),
-        truth=GroundTruth(clean=tuple(clean_truth), observed=tuple(observed_truth)),
+        truth=truth,
     )
 
 

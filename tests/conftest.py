@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import driftalign
 from driftalign import Subspace, TransformMatrix, exp_map, orthonormalize
 
 
@@ -62,6 +69,27 @@ def quadrature_transform(p_source, p_target, nodes):
     for w, t in zip(weights, ts):
         g += (2.0 * w) * exp_map(p_source, t * velocity).projector()
     return TransformMatrix(0.5 * (g + g.T))
+
+
+def error_in_child(code):
+    """Run ``code`` in a fresh interpreter; return the error it raised.
+
+    For inputs on which a LAPACK call may never return: a regression then
+    fails on a 60 s deadline instead of stalling the suite. The child runs
+    ``code`` and prints the type and message of any exception.
+    """
+    wrapped = "try:\n" + textwrap.indent(textwrap.dedent(code), "    ") + (
+        "\nexcept Exception as err:\n"
+        "    print(type(err).__name__ + ': ' + str(err))\n"
+    )
+    src = str(Path(driftalign.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", wrapped], capture_output=True, text=True,
+        timeout=60, env=env,
+    )
+    return done.stdout.strip()
 
 
 @pytest.fixture

@@ -17,7 +17,14 @@ from driftalign import (
     principal_decomposition,
 )
 
-from conftest import line, line_angle, perturbed, random_subspace, textbook_log
+from conftest import (
+    error_in_child,
+    line,
+    line_angle,
+    perturbed,
+    random_subspace,
+    textbook_log,
+)
 
 
 class TestSubspace:
@@ -57,6 +64,38 @@ class TestSubspace:
         s = random_subspace(8, 2, rng)
         with pytest.raises(ValueError):
             s.basis[0, 0] = 7.0
+
+    def test_orthonormal_input_is_copied(self):
+        m = np.vstack([np.eye(2), np.zeros((3, 2))])
+        s = orthonormalize(m)
+        m[0, 0] = 5.0
+        assert s.basis[0, 0] == 1.0
+        assert not s.basis.flags.writeable
+
+    def test_results_pass_the_public_check(self, rng):
+        for m in (rng.standard_normal((30, 5)), np.eye(12)[:, :6]):
+            s = orthonormalize(m)
+            assert np.array_equal(Subspace(s.basis).basis, s.basis)
+
+    @pytest.mark.parametrize("shape", [(8, 2), (30, 5), (100, 10)])
+    def test_nan_rejected(self, rng, shape):
+        m = rng.standard_normal(shape)
+        m[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            orthonormalize(m)
+
+    @pytest.mark.parametrize("shape", [(8, 2), (30, 5), (100, 10)])
+    def test_inf_rejected_without_hanging(self, shape):
+        # Without the check, LAPACK's SVD never returns on the 30 x 5 and
+        # 100 x 10 matrices and returns garbage on the 8 x 2 one.
+        error = error_in_child(f"""
+            import numpy as np
+            from driftalign import orthonormalize
+            m = np.random.default_rng(0).standard_normal({shape})
+            m[0, 0] = np.inf
+            orthonormalize(m)
+        """)
+        assert error == "ValueError: matrix contains non-finite entries"
 
 
 class TestPrincipalDecomposition:

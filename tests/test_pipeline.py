@@ -31,6 +31,8 @@ from driftalign import (
 from driftalign.experiments import config_for_variant
 from driftalign.pipeline import _aligned_view
 
+from conftest import error_in_child
+
 # (n, d, k): mini-batch shapes (n < d, the n x n Gram matrix) and source
 # shapes (n >= d, the d x d scatter) at the criterion-8 and paper scales.
 PCA_SHAPES = [(120, 512, 100), (20, 30, 5), (600, 512, 100), (400, 30, 5)]
@@ -149,6 +151,20 @@ class TestPcaSubspace:
         assert calls == [(20, 30)]
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rows_rejected_without_hanging(self, value):
+        # Either value turns the Gram matrix non-finite, which sends the
+        # batch to the SVD route; LAPACK must not see it.
+        error = error_in_child(f"""
+            import numpy as np
+            from driftalign import pca_subspace
+            x = np.random.default_rng(0).standard_normal((40, 30))
+            x[3, 4] = float("{value}")
+            pca_subspace(x, 5)
+        """)
+        assert error == "ValueError: centered samples contain non-finite values"
+
+
 class TestStreamBatch:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, rng, value):
@@ -187,6 +203,18 @@ class TestInitPipeline:
         assert np.array_equal(state.feedback_transform.g, np.eye(10))
         assert state.mean_state is None
         assert state.batch_index == 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_source_rejected(self, rng, value):
+        x, y = gaussian_source(rng)
+        x[7, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            init_pipeline(x, y, PipelineConfig(subspace_dim=3))
+
+    def test_label_count_must_match_rows(self, rng):
+        x, y = gaussian_source(rng)
+        with pytest.raises(ValueError, match="one entry per feature row"):
+            init_pipeline(x, y[:-1], PipelineConfig(subspace_dim=3))
 
     def test_deterministic_for_identical_inputs(self, rng):
         x, y = gaussian_source(rng)

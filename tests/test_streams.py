@@ -1,6 +1,10 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from driftalign import streams
 from driftalign import (
     BadParameter,
     CsvParseError,
@@ -239,3 +243,77 @@ class TestGenerator:
         rebuilt = stream_from_params(stream.params)
         for a, b in zip(stream.batches, rebuilt.batches):
             assert np.array_equal(a.features, b.features)
+
+
+def lazy_truth_params(kind, **overrides):
+    params = dict(
+        seed=8, feature_dim=16, n_classes=2, n_batches=6, batch_size=8,
+        drift_kind=kind, drift_rate=0.02, signal_dim=3,
+        signal_spread=(2.0, 1.5, 1.2),
+        noise=0.05 if kind == "noisy-rotation" else 0.0,
+    )
+    params.update(overrides)
+    return DriftParams(**params)
+
+
+class TestLazyTruth:
+    @pytest.mark.parametrize("kind", ["rotation", "stationary", "mean-shift"])
+    def test_bases_built_on_first_read(self, kind, monkeypatch):
+        calls = []
+        orthonormalize = streams.orthonormalize
+
+        def counted(m):
+            calls.append(m.shape)
+            return orthonormalize(m)
+
+        monkeypatch.setattr(streams, "orthonormalize", counted)
+        stream = generate_drift_stream(lazy_truth_params(kind))
+        assert calls == []
+        clean = stream.truth.clean
+        assert len(clean) == 6
+        assert calls == [(16, 3)] * (6 if kind == "rotation" else 1)
+
+    def test_generation_retains_little_beyond_features(self):
+        # Eagerly built, the truth alone would hold 2 x 100 bases of
+        # 128 x 32 doubles (6.6 MB) beside 4.3 MB of features.
+        params = DriftParams(
+            seed=0, feature_dim=128, n_classes=2, n_batches=100, batch_size=40,
+            drift_kind="rotation", drift_rate=0.01, signal_dim=32,
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stream = generate_drift_stream(params)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        features = stream.source_x.nbytes + sum(b.features.nbytes for b in stream.batches)
+        assert retained < features + 2 * 2**20
+
+    @pytest.mark.parametrize("kind", ["rotation", "stationary", "mean-shift"])
+    def test_observed_is_clean_without_noise(self, kind):
+        truth = generate_drift_stream(lazy_truth_params(kind)).truth
+        assert truth.observed is truth.clean
+        assert truth.clean is truth.clean
+
+    @pytest.mark.parametrize("kind", ["stationary", "mean-shift"])
+    def test_constant_frame_shares_one_subspace(self, kind):
+        clean = generate_drift_stream(lazy_truth_params(kind)).truth.clean
+        assert all(s is clean[0] for s in clean)
+
+    def test_noisy_observed_frames_are_the_sampled_ones(self):
+        truth = generate_drift_stream(lazy_truth_params("noisy-rotation")).truth
+        assert truth.observed is not truth.clean
+        assert truth.observed is truth.observed
+        for frame, observed in zip(truth.jittered, truth.observed):
+            assert np.array_equal(observed.basis, frame)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3])
+    def test_rotation_truth_follows_the_rate(self, offset):
+        truth = generate_drift_stream(
+            lazy_truth_params("rotation", target_offset=offset)
+        ).truth
+        steps = [geodesic_distance(a, b) for a, b in zip(truth.clean, truth.clean[1:])]
+        assert np.allclose(steps, 0.02, atol=1e-12)
