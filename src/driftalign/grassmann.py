@@ -61,12 +61,22 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = _frozen_copy(self.basis)
+        basis = np.array(self.basis, dtype=float, copy=True, order="C")
+        if basis.ndim != 2:
+            raise ValueError(f"basis must be 2-D, got shape {basis.shape}")
+        d, k = basis.shape
+        if k < 1:
+            raise ValueError("subspace dimension must be at least 1")
+        if 2 * k > d:
+            raise ValueError(
+                f"subspace dimension k={k} must satisfy k <= d/2 for d={d}"
+            )
         if not np.isfinite(basis).all():
             raise ValueError("basis contains non-finite entries")
         gram = basis.T @ basis
-        if np.abs(gram - np.eye(basis.shape[1])).max() > ORTHONORMALITY_TOL:
+        if np.abs(gram - np.eye(k)).max() > ORTHONORMALITY_TOL:
             raise ValueError("basis columns are not orthonormal within 1e-10")
+        basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 
     @property
@@ -80,35 +90,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         """The d x d orthogonal projector onto the subspace (basis-free)."""
         return self.basis @ self.basis.T
-
-
-def _frozen_copy(basis: np.ndarray) -> np.ndarray:
-    """A read-only C-ordered copy of a d x k basis with 1 <= k <= d/2."""
-    basis = np.array(basis, dtype=float, copy=True, order="C")
-    if basis.ndim != 2:
-        raise ValueError(f"basis must be 2-D, got shape {basis.shape}")
-    d, k = basis.shape
-    if k < 1:
-        raise ValueError("subspace dimension must be at least 1")
-    if 2 * k > d:
-        raise ValueError(
-            f"subspace dimension k={k} must satisfy k <= d/2 for d={d}"
-        )
-    basis.setflags(write=False)
-    return basis
-
-
-def _checked_subspace(basis: np.ndarray) -> Subspace:
-    """A Subspace over a basis already known to be orthonormal.
-
-    Only :func:`orthonormalize` calls it, with a basis that passed its Gram
-    check or is the left singular factor of a finite matrix. It keeps the
-    copy and the shape checks but skips the second Gram product of
-    ``Subspace.__post_init__``.
-    """
-    subspace = object.__new__(Subspace)
-    object.__setattr__(subspace, "basis", _frozen_copy(basis))
-    return subspace
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,11 +139,9 @@ def orthonormalize(m: np.ndarray) -> Subspace:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     k = m.shape[1]
     gram = m.T @ m
-    # A NaN or inf entry makes the Gram deviation NaN or inf, so passing
-    # this check also proves the entries finite.
     if np.abs(gram - np.eye(k)).max() <= 1e-12:
         # Already orthonormal; keep the caller's basis bit for bit.
-        return _checked_subspace(m)
+        return Subspace(m)
     if not np.isfinite(m).all():
         # LAPACK's SVD can spin forever on an inf entry.
         raise ValueError("matrix contains non-finite entries")
@@ -172,7 +151,7 @@ def orthonormalize(m: np.ndarray) -> Subspace:
             f"matrix has numerical rank < {k} (singular values {s.min():.3e}"
             f" .. {s.max():.3e})"
         )
-    return _checked_subspace(u[:, :k])
+    return Subspace(u[:, :k])
 
 
 def principal_decomposition(p1: Subspace, p2: Subspace) -> PrincipalDecomposition:

@@ -50,7 +50,9 @@ class GroundTruth:
     frame and partners after any target offset, each batch's rotation
     angle per direction (None: the frame stays put, and one Subspace
     serves every batch) and the jittered frames, whose draws interleave
-    with the sampling. Without jittered frames ``observed`` is ``clean``.
+    with the sampling. ``n_batches`` is read only when ``angles`` is None;
+    otherwise there is one angle per batch. Without jittered frames
+    ``observed`` is ``clean``.
     """
 
     frame: np.ndarray
