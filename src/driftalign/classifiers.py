@@ -27,7 +27,6 @@ class Classifier:
 
     kind: str
     centroids: np.ndarray  # (c, d)
-    counts: np.ndarray  # (c,)
     weights: np.ndarray | None = None  # (c, d), linear-margin only
 
     @property
@@ -84,16 +83,14 @@ def train_source_classifier(
     y_s = _validate_labels(y_s, c)
 
     centroids = np.zeros((c, x_s.shape[1]))
-    counts = np.zeros(c, dtype=int)
     for j in range(c):
         rows = x_s[y_s == j]
         if rows.shape[0] == 0:
             raise EmptyClassError(f"class {j} has no training samples")
         centroids[j] = rows.mean(axis=0)
-        counts[j] = rows.shape[0]
 
     weights = _fit_passive_aggressive(x_s, y_s, c) if kind == LINEAR_MARGIN else None
-    return Classifier(kind=kind, centroids=centroids, counts=counts, weights=weights)
+    return Classifier(kind=kind, centroids=centroids, weights=weights)
 
 
 def classify(classifier: Classifier, x: np.ndarray) -> np.ndarray:
@@ -131,9 +128,7 @@ def update_classifier(
     x = np.asarray(x, dtype=float)
     y_hat = _validate_labels(y_hat, classifier.n_classes)
     centroids = classifier.centroids.copy()
-    counts = classifier.counts.copy()
     for j in np.unique(y_hat):
         rows = x[y_hat == j]
         centroids[j] = (1.0 - rate) * centroids[j] + rate * rows.mean(axis=0)
-        counts[j] += rows.shape[0]
-    return replace(classifier, centroids=centroids, counts=counts)
+    return replace(classifier, centroids=centroids)

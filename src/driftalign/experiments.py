@@ -17,10 +17,7 @@ import numpy as np
 
 from .errors import BadParameter, ConfigError
 from .pipeline import (
-    MEAN_ICMS,
-    MEAN_KARCHER,
-    MEAN_NONE,
-    MEAN_TRANSFORM_AVERAGE,
+    VARIANTS,
     BatchRecord,
     PipelineConfig,
     average_accuracy,
@@ -29,36 +26,14 @@ from .pipeline import (
 )
 from .streams import Stream, stream_from_params
 
-# Variant id -> (use_feedback, use_prediction, use_cumulative, mean_method).
-VARIANTS = {
-    "icms": (False, False, False, MEAN_ICMS),
-    "icms-fb": (True, False, False, MEAN_ICMS),
-    "icms-pred": (False, True, False, MEAN_ICMS),
-    "icms-fb-pred": (True, True, False, MEAN_ICMS),
-    "icms-cumul": (False, False, True, MEAN_ICMS),
-    "icms-fb-cumul": (True, False, True, MEAN_ICMS),
-    "avg": (False, False, False, MEAN_TRANSFORM_AVERAGE),
-    "karcher": (False, False, False, MEAN_KARCHER),
-    "source": (False, False, False, MEAN_NONE),
-}
-
-
 def config_for_variant(base: PipelineConfig, variant: str) -> PipelineConfig:
-    """Resolve a variant id into concrete pipeline flags."""
+    """The base config running ``variant``; ``source`` never adapts."""
     if variant not in VARIANTS:
         raise BadParameter(
             f"unknown variant {variant!r}; expected one of {sorted(VARIANTS)}"
         )
-    feedback, prediction, cumulative, mean_method = VARIANTS[variant]
-    adaptive = base.adaptive_classifier and mean_method != MEAN_NONE
-    return replace(
-        base,
-        use_feedback=feedback,
-        use_prediction=prediction,
-        use_cumulative=cumulative,
-        mean_method=mean_method,
-        adaptive_classifier=adaptive,
-    )
+    adaptive = base.adaptive_classifier and VARIANTS[variant].step is not None
+    return replace(base, variant=variant, adaptive_classifier=adaptive)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,26 +87,20 @@ def _summarize(records: tuple[BatchRecord, ...], total_seconds: float, skipped: 
     }
 
 
-def _config_echo(stream: Stream, cfg: PipelineConfig, variant: str) -> dict:
-    echo = asdict(cfg)
-    echo["stream"] = dict(stream.params)
-    echo["variant"] = variant
-    return echo
-
-
 def run_experiment(
     stream: Stream,
     cfg: PipelineConfig,
-    variant: str = "icms",
+    variant: str | None = None,
     output_path: str | Path | None = None,
     csv_path: str | Path | None = None,
 ) -> ExperimentReport:
     """Run one variant over a stream and (optionally) write the report.
 
-    On a mid-stream abort the partial report is still flushed to
-    ``output_path`` before the error propagates.
+    ``variant``, when given, replaces ``cfg.variant``. On a mid-stream
+    abort the partial report is still flushed to ``output_path`` before the
+    error propagates.
     """
-    run_cfg = config_for_variant(cfg, variant)
+    run_cfg = config_for_variant(cfg, cfg.variant if variant is None else variant)
     state = init_pipeline(stream.source_x, stream.source_y, run_cfg)
     started = time.perf_counter()
     records, skipped = [], 0
@@ -145,9 +114,9 @@ def run_experiment(
     finally:
         total = time.perf_counter() - started
         report = ExperimentReport(
-            variant=variant,
+            variant=run_cfg.variant,
             seed=run_cfg.seed,
-            config=_config_echo(stream, run_cfg, variant),
+            config=dict(asdict(run_cfg), stream=dict(stream.params)),
             records=tuple(records),
             summary=_summarize(tuple(records), total, skipped),
         )
@@ -164,10 +133,11 @@ def rerun_from_report(report_config: dict) -> ExperimentReport:
     # Reports written before the confidence gate was removed echo it as null.
     if "confidence_threshold" in config and config["confidence_threshold"] is None:
         del config["confidence_threshold"]
-    stream_params = config.pop("stream")
-    variant = config.pop("variant")
-    stream = stream_from_params(stream_params)
-    return run_experiment(stream, PipelineConfig(**config), variant)
+    # Older reports also echo the stage flags that their variant id decides.
+    for key in ("use_feedback", "use_prediction", "use_cumulative", "mean_method"):
+        config.pop(key, None)
+    stream = stream_from_params(config.pop("stream"))
+    return run_experiment(stream, PipelineConfig(**config))
 
 
 @dataclass(frozen=True, eq=False)

@@ -252,6 +252,7 @@ def exp_map(base: Subspace, delta: np.ndarray) -> Subspace:
 
     Raises:
         NotTangentError: if base^T delta is not zero within 1e-8.
+        ValueError: if delta has a non-finite entry.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.shape != base.basis.shape:
@@ -259,6 +260,9 @@ def exp_map(base: Subspace, delta: np.ndarray) -> Subspace:
             f"tangent shape {delta.shape} does not match basis shape "
             f"{base.basis.shape}"
         )
+    if not np.isfinite(delta).all():
+        # The tangency check below is False for NaN, and eigh fails on it.
+        raise ValueError("tangent contains non-finite values")
     overlap = np.linalg.norm(base.basis.T @ delta)
     if overlap > 1e-8:
         raise NotTangentError(

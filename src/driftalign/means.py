@@ -158,8 +158,7 @@ def perturbed_subspace(
 ) -> Subspace:
     """A subspace at the given geodesic distance from ``base``, direction random.
 
-    Used by tests and the synthetic stream generator to build clustered or
-    jittered subspace samples with exactly controlled spread.
+    The synthetic stream generator jitters its frames with it.
     """
     if magnitude == 0.0:
         return base

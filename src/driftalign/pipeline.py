@@ -4,8 +4,9 @@ Each arriving mini-batch is (optionally) pre-aligned with the transform fed
 back from the previous step, reduced to a subspace, absorbed into the
 running mean, aligned to the source through the flow-integral transform,
 classified, and (optionally) used to adapt the classifier with its own
-pseudo-labels. ``process_batch`` runs that one sequence; only the mean
-update and the transform differ by mean method, one step function each.
+pseudo-labels. ``process_batch`` runs that one sequence. The config's
+variant id picks, from the one ``VARIANTS`` table, the step function that
+advances the mean and builds the transform and which optional stages run.
 One pipeline instance owns its state exclusively; all state values are
 immutable, so distinct streams can run in parallel freely.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,12 +42,6 @@ from .prediction import compensate, predict_next
 from .transforms import TransformMatrix, apply_transform, cumulative_transform, gfk_transform
 
 logger = logging.getLogger(__name__)
-
-MEAN_ICMS = "icms"
-MEAN_TRANSFORM_AVERAGE = "transform-average"
-MEAN_KARCHER = "karcher"
-MEAN_NONE = "none"
-MEAN_METHODS = (MEAN_ICMS, MEAN_TRANSFORM_AVERAGE, MEAN_KARCHER, MEAN_NONE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,39 +73,34 @@ class StreamBatch:
 class PipelineConfig:
     """Knobs of one streaming run.
 
-    ``use_prediction`` and ``use_cumulative`` are mutually exclusive (one
-    compensates a noisy subspace, the other assumes a smoothly evolving
-    one). ``use_prediction`` blends each observed subspace a ``blend``
-    fraction of the way toward the running mean's one-step extrapolation
-    before the mean absorbs it, which trades per-batch noise for mean lag
-    under sustained drift; whether the paper applies the prediction in the
-    feedback stage instead is left open by its abstract. ``mean_method``
-    selects the running-mean machinery; the baseline methods
-    ("transform-average", "karcher", "none") ignore the feedback /
-    prediction / cumulative stages. ``adaptive_classifier`` updates the
-    classifier with every row of a batch and its predicted label, ungated.
+    ``variant`` is a key of ``VARIANTS`` and decides which stages run. With
+    prediction, each observed subspace is blended a ``blend`` fraction of
+    the way toward the running mean's one-step extrapolation before the
+    mean absorbs it, which trades per-batch noise for mean lag under
+    sustained drift; whether the paper applies the prediction in the
+    feedback stage instead is left open by its abstract.
+    ``adaptive_classifier`` updates the classifier with every row of a
+    batch and its predicted label, ungated.
     """
 
     subspace_dim: int
     batch_size: int = 2
-    use_feedback: bool = False
-    use_prediction: bool = False
-    use_cumulative: bool = False
+    variant: str = "icms"
     adaptive_classifier: bool = False
     blend: float = 0.5
     classifier_kind: str = NEAREST_CLASS_MEAN
     update_rate: float = 0.1
     seed: int = 0
-    mean_method: str = MEAN_ICMS
     karcher_tol: float = 3e-2
     karcher_max_iter: int = 15
 
     def __post_init__(self):
         if self.subspace_dim < 1:
             raise ConfigError("subspace_dim must be positive")
-        if self.use_prediction and self.use_cumulative:
+        if self.variant not in VARIANTS:
             raise ConfigError(
-                "use_prediction and use_cumulative are mutually exclusive"
+                f"unknown variant {self.variant!r}; "
+                f"expected one of {sorted(VARIANTS)}"
             )
         if not 0.0 <= self.blend <= 1.0:
             raise ConfigError("blend must be in [0, 1]")
@@ -117,15 +108,11 @@ class PipelineConfig:
             raise ConfigError("update_rate must be in [0, 1]")
         if self.classifier_kind not in KINDS:
             raise ConfigError(f"unknown classifier kind {self.classifier_kind!r}")
-        if self.mean_method not in MEAN_METHODS:
-            raise ConfigError(f"unknown mean method {self.mean_method!r}")
-        if self.mean_method != MEAN_ICMS and (
-            self.use_feedback or self.use_prediction or self.use_cumulative
-        ):
-            raise ConfigError(
-                "feedback / prediction / cumulative stages apply only to the "
-                "icms mean method"
-            )
+
+    @property
+    def use_feedback(self) -> bool:
+        """Whether each batch is pre-aligned with the last transform."""
+        return VARIANTS[self.variant].feedback
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,15 +277,16 @@ def _icms_step(
     state: PipelineState, observed: Subspace, cfg: PipelineConfig
 ) -> tuple[PipelineState, float]:
     """Compensate (optionally), absorb into the running mean, build the transform."""
+    stages = VARIANTS[cfg.variant]
     source, previous = state.source_subspace, state.mean_state
     if previous is None:
         mean_state = init_mean(observed)
     else:
-        if cfg.use_prediction and previous.prev_mean is not None:
+        if stages.prediction and previous.prev_mean is not None:
             predicted = predict_next(previous.prev_mean, previous.mean)
             observed = compensate(predicted, observed, cfg.blend)
         mean_state = icms_update(previous, observed)
-    if cfg.use_cumulative and mean_state.prev_mean is not None:
+    if stages.cumulative and mean_state.prev_mean is not None:
         # The last transform was built for (source, prev_mean): its angles
         # and directions start the sweep, and icms_update bounds the step.
         transform = cumulative_transform(
@@ -325,7 +313,7 @@ def _karcher_step(
     advanced = replace(
         state, mean_state=mean_state, feedback_transform=transform, seen_subspaces=seen
     )
-    return advanced, geodesic_distance(state.source_subspace, mean_state.mean)
+    return advanced, float(np.linalg.norm(transform.theta))
 
 
 def _average_step(
@@ -337,13 +325,39 @@ def _average_step(
     transform = incremental_average_transform(state.feedback_transform, g_batch, n)
     mean_state = _baseline_mean_state(state, observed)
     advanced = replace(state, mean_state=mean_state, feedback_transform=transform)
-    return advanced, geodesic_distance(state.source_subspace, observed)
+    # The source-to-observed distance, from the batch transform's angles.
+    return advanced, float(np.linalg.norm(g_batch.theta))
 
 
-_STEPS = {
-    MEAN_ICMS: _icms_step,
-    MEAN_KARCHER: _karcher_step,
-    MEAN_TRANSFORM_AVERAGE: _average_step,
+@dataclass(frozen=True)
+class Stages:
+    """What one variant runs.
+
+    ``step(state, observed, cfg)`` advances the mean, builds the transform
+    and returns the advanced state with the source-to-mean distance;
+    ``None`` runs the source classifier alone, with no adaptation. The
+    three flags switch the optional stages, which only the icms step has.
+    """
+
+    step: Callable[..., tuple[PipelineState, float]] | None
+    feedback: bool = False
+    prediction: bool = False
+    cumulative: bool = False
+
+
+# Variant id -> stages. Prediction and the cumulative transform exclude each
+# other: one compensates a noisy subspace, the other assumes a smoothly
+# evolving one.
+VARIANTS = {
+    "icms": Stages(_icms_step),
+    "icms-fb": Stages(_icms_step, feedback=True),
+    "icms-pred": Stages(_icms_step, prediction=True),
+    "icms-fb-pred": Stages(_icms_step, feedback=True, prediction=True),
+    "icms-cumul": Stages(_icms_step, cumulative=True),
+    "icms-fb-cumul": Stages(_icms_step, feedback=True, cumulative=True),
+    "avg": Stages(_average_step),
+    "karcher": Stages(_karcher_step),
+    "source": Stages(None),
 }
 
 
@@ -353,7 +367,7 @@ def process_batch(
     """Run one mini-batch through the loop and return the advanced state.
 
     Pre-align (feedback), take the subspace, advance the mean and build the
-    transform (the method's step), classify, update an adaptive classifier.
+    transform (the variant's step), classify, update an adaptive classifier.
 
     A degenerate batch aborts just this batch: a cut-locus failure anywhere
     in the geometry, or numerically rank-deficient rows (a constant batch,
@@ -373,23 +387,24 @@ def process_batch(
             f"batch dim {batch.features.shape[1]} does not match source dim "
             f"{state.source_subspace.ambient_dim}"
         )
-    if cfg.mean_method != MEAN_NONE and batch.size <= cfg.subspace_dim:
+    stages = VARIANTS[cfg.variant]
+    if stages.step is not None and batch.size <= cfg.subspace_dim:
         raise RankDeficient(
             f"{batch.size} rows give a centered scatter of rank at most "
             f"{batch.size - 1} < k={cfg.subspace_dim}"
         )
     started = time.perf_counter()
     n = state.batch_index + 1
-    if cfg.mean_method == MEAN_NONE:
+    if stages.step is None:
         advanced, dist_source, dist_step = state, 0.0, 0.0
         y_hat = classify(state.classifier, batch.features)
     else:
         aligned = batch
-        if cfg.use_feedback:
+        if stages.feedback:
             aligned = recursive_feedback(batch, state.feedback_transform)
         try:
             observed = pca_subspace(aligned.features, cfg.subspace_dim)
-            advanced, dist_source = _STEPS[cfg.mean_method](state, observed, cfg)
+            advanced, dist_source = stages.step(state, observed, cfg)
         except CutLocusError as err:
             logger.warning("batch %d skipped at the cut locus: %s", n, err)
             return None, None, state
@@ -398,7 +413,7 @@ def process_batch(
             return None, None, state
         dist_step = advanced.mean_state.step
         transform = advanced.feedback_transform
-        maps = (state.feedback_transform, transform) if cfg.use_feedback else (transform,)
+        maps = (state.feedback_transform, transform) if stages.feedback else (transform,)
         y_hat = classify(
             _aligned_view(state.classifier, maps),
             apply_transform(aligned.features, transform),

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadParameter, CsvParseError, LabelOutOfRange
-from .grassmann import Subspace, exp_map, orthonormalize
+from .grassmann import Subspace, orthonormalize
+from .means import perturbed_subspace
 from .pipeline import StreamBatch
 
 DRIFT_KINDS = ("stationary", "rotation", "mean-shift", "noisy-rotation")
@@ -299,11 +300,7 @@ def _jitter_frame(
     """Move span(frame) by exactly ``magnitude`` radians in a random direction."""
     if magnitude == 0.0:
         return frame
-    base = orthonormalize(frame)
-    z = rng.standard_normal(frame.shape)
-    tangent = z - base.basis @ (base.basis.T @ z)
-    tangent *= magnitude / np.linalg.norm(tangent)
-    return exp_map(base, tangent).basis
+    return perturbed_subspace(orthonormalize(frame), magnitude, rng).basis
 
 
 def generate_drift_stream(params: DriftParams) -> Stream:

@@ -133,12 +133,6 @@ class TestUpdate:
         assert all(b <= a + 1e-9 for a, b in zip(distances, distances[1:]))
         assert distances[-1] < 0.1 * distances[0]
 
-    def test_counts_accumulate(self, rng):
-        x, y = two_blob_data(rng, noise=0.4)
-        clf = train_source_classifier(x, y)
-        updated = update_classifier(clf, x, y, 0.1)
-        assert updated.counts.sum() == 2 * len(y)
-
     def test_bad_rate_rejected(self, rng):
         x, y = two_blob_data(rng)
         clf = train_source_classifier(x, y)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,16 +37,19 @@ def base_config(seed=21):
     return PipelineConfig(subspace_dim=5, batch_size=20, seed=seed)
 
 
+def record_numbers(report):
+    return [(r.accuracy, r.dist_source_mean, r.dist_mean_step) for r in report.records]
+
+
 class TestVariantMapping:
     def test_flag_combinations(self):
         cfg = config_for_variant(base_config(), "icms-fb-pred")
-        assert cfg.use_feedback and cfg.use_prediction and not cfg.use_cumulative
+        assert cfg.variant == "icms-fb-pred" and cfg.use_feedback
         cfg = config_for_variant(base_config(), "icms-cumul")
-        assert cfg.use_cumulative and not cfg.use_prediction and not cfg.use_feedback
-        cfg = config_for_variant(base_config(), "avg")
-        assert cfg.mean_method == "transform-average"
-        cfg = config_for_variant(base_config(), "source")
-        assert cfg.mean_method == "none"
+        assert cfg.variant == "icms-cumul" and not cfg.use_feedback
+        adaptive = replace(base_config(), adaptive_classifier=True)
+        assert config_for_variant(adaptive, "avg").adaptive_classifier
+        assert not config_for_variant(adaptive, "source").adaptive_classifier
 
     def test_unknown_variant(self):
         with pytest.raises(BadParameter):
@@ -77,8 +81,8 @@ class TestRunExperiment:
         a = run_experiment(stream, base_config(), "icms")
         b = run_experiment(stream, base_config(), "icms-fb")
         assert a.seed == b.seed
-        keys_a = dict(a.config, variant=None, use_feedback=None)
-        keys_b = dict(b.config, variant=None, use_feedback=None)
+        keys_a = dict(a.config, variant=None)
+        keys_b = dict(b.config, variant=None)
         assert keys_a == keys_b
 
     def test_json_and_csv_written(self, tmp_path):
@@ -104,11 +108,28 @@ class TestRunExperiment:
 
     def test_rerun_from_report_echoing_the_removed_confidence_gate(self):
         # Reports written while PipelineConfig had a confidence_threshold
-        # field echo it as null.
+        # field echo it as null; reports written while it had one flag per
+        # stage echo those flags beside the variant id.
         stream = mild_drift_stream(n_batches=5)
-        report = run_experiment(stream, base_config(), "icms")
-        replay = rerun_from_report(dict(report.config, confidence_threshold=None))
-        assert [r.accuracy for r in replay.records] == [r.accuracy for r in report.records]
+        report = run_experiment(stream, base_config(), "icms-fb-pred")
+        stage_flags = dict(
+            use_feedback=True, use_prediction=True, use_cumulative=False,
+            mean_method="icms",
+        )
+        for old_echo in (
+            dict(report.config, confidence_threshold=None),
+            dict(report.config, **stage_flags),
+        ):
+            replay = rerun_from_report(old_echo)
+            assert replay.variant == "icms-fb-pred"
+            assert record_numbers(replay) == record_numbers(report)
+
+    def test_config_variant_runs_when_no_variant_is_given(self):
+        stream = mild_drift_stream(n_batches=8)
+        named = run_experiment(stream, base_config(), "icms-fb")
+        implied = run_experiment(stream, replace(base_config(), variant="icms-fb"))
+        assert implied.variant == "icms-fb"
+        assert record_numbers(implied) == record_numbers(named)
 
     def test_rerun_of_a_grown_csv_file_is_refused(self, tmp_path):
         path = tmp_path / "stream.csv"

@@ -298,6 +298,14 @@ class TestLogExp:
         with pytest.raises(NotTangentError):
             exp_map(base, base.basis * 0.1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_exp_rejects_non_finite_tangent(self, value):
+        base = orthonormalize(np.eye(30)[:, :5])
+        tangent = np.zeros((30, 5))
+        tangent[10, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            exp_map(base, tangent)
+
     def test_log_at_cut_locus_rejected(self):
         e1 = Subspace(np.array([[1.0], [0.0]]))
         e2 = Subspace(np.array([[0.0], [1.0]]))

@@ -29,7 +29,7 @@ from driftalign import (
     run_experiment,
 )
 from driftalign.experiments import config_for_variant
-from driftalign.pipeline import _aligned_view
+from driftalign.pipeline import VARIANTS, _aligned_view, _icms_step
 
 from conftest import error_in_child
 
@@ -177,7 +177,7 @@ class TestStreamBatch:
 class TestConfig:
     def test_prediction_and_cumulative_exclusive(self):
         with pytest.raises(ConfigError):
-            PipelineConfig(subspace_dim=3, use_prediction=True, use_cumulative=True)
+            PipelineConfig(subspace_dim=3, variant="icms-pred-cumul")
 
     def test_blend_range(self):
         with pytest.raises(ConfigError):
@@ -185,7 +185,16 @@ class TestConfig:
 
     def test_baseline_methods_reject_stages(self):
         with pytest.raises(ConfigError):
-            PipelineConfig(subspace_dim=3, mean_method="karcher", use_feedback=True)
+            PipelineConfig(subspace_dim=3, variant="karcher-fb")
+
+    def test_variant_table_keeps_the_stage_rules(self):
+        # The table holds only combinations the pipeline can run:
+        # prediction and the cumulative transform exclude each other, and
+        # only the icms step has optional stages.
+        for stages in VARIANTS.values():
+            assert not (stages.prediction and stages.cumulative)
+            if stages.step is not _icms_step:
+                assert not (stages.feedback or stages.prediction or stages.cumulative)
 
     def test_k_above_half_dim_rejected_at_init(self, rng):
         x, y = gaussian_source(rng)
@@ -254,7 +263,7 @@ class TestProcessBatch:
     def test_first_batch_feedback_is_noop(self, rng):
         x, y = gaussian_source(rng)
         batch = StreamBatch(features=rng.standard_normal((30, 10)))
-        on = PipelineConfig(subspace_dim=3, use_feedback=True)
+        on = PipelineConfig(subspace_dim=3, variant="icms-fb")
         off = PipelineConfig(subspace_dim=3)
         ya, _, sa = process_batch(init_pipeline(x, y, on), batch, on)
         yb, _, sb = process_batch(init_pipeline(x, y, off), batch, off)
@@ -266,7 +275,7 @@ class TestProcessBatch:
         # running mean must absorb the compensated subspace, not the raw
         # per-batch one.
         x, y = gaussian_source(rng)
-        cfg = PipelineConfig(subspace_dim=3, use_prediction=True, blend=0.5)
+        cfg = PipelineConfig(subspace_dim=3, variant="icms-pred", blend=0.5)
         state = init_pipeline(x, y, cfg)
         batches = [StreamBatch(features=rng.standard_normal((30, 10))) for _ in range(3)]
 
@@ -290,7 +299,7 @@ class TestProcessBatch:
         assert geodesic_distance(state.mean_state.mean, raw_only.mean) > 1e-6
 
     def test_variant_reduction_trace(self, rng):
-        # With every stage flag off the loop must reduce exactly to
+        # With no optional stage (the "icms" variant) the loop must reduce exactly to
         # subspace -> incremental mean -> plain transform -> aligned
         # classification, state by state.
         x, y = gaussian_source(rng)
@@ -352,7 +361,7 @@ class TestProcessBatch:
         # Passing the centroids through G_fb then G equals the dense
         # product centroids @ (G_fb.g @ G.g).
         x, y = gaussian_source(rng)
-        cfg = PipelineConfig(subspace_dim=3, use_feedback=True, use_cumulative=True)
+        cfg = PipelineConfig(subspace_dim=3, variant="icms-fb-cumul")
         state = init_pipeline(x, y, cfg)
         for _ in range(3):
             batch = StreamBatch(features=rng.standard_normal((30, 10)))
@@ -365,7 +374,7 @@ class TestProcessBatch:
 
     def test_transform_stored_for_next_feedback(self, rng):
         x, y = gaussian_source(rng)
-        cfg = PipelineConfig(subspace_dim=3, use_feedback=True)
+        cfg = PipelineConfig(subspace_dim=3, variant="icms-fb")
         state = init_pipeline(x, y, cfg)
         b1 = StreamBatch(features=rng.standard_normal((30, 10)))
         b2 = StreamBatch(features=rng.standard_normal((30, 10)))
