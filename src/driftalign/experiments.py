@@ -154,10 +154,11 @@ def sweep(
     base_cfg: PipelineConfig,
     k_values: list[int],
     batch_sizes: list[int],
-    variant: str = "icms",
+    variant: str | None = None,
 ) -> list[SweepCell]:
     """Grid of runs over subspace dimension and batch size.
 
+    Every cell runs ``variant``, or ``base_cfg.variant`` when it is None.
     Each cell is independently seeded from the base seed and rebuilds the
     stream at its own batch size. A failing cell is marked with its error
     and the sweep continues.

@@ -31,20 +31,24 @@ from .transforms import TransformMatrix
 class MeanState:
     """Running mean over the subspaces absorbed so far.
 
-    ``count`` is the number of subspaces absorbed; ``prev_mean`` is the
-    mean before the most recent update (absent until the second one), and
-    ``step`` the geodesic distance from it to ``mean`` (0 until then).
+    ``count`` is the number of subspaces absorbed. ``flow`` is the geodesic
+    of the most recent :func:`icms_update`: it starts at the previous mean
+    and passes through ``mean`` at t = 1/count, so evaluating it at
+    t = 2/count continues the last step by one more equal arc. It is None
+    until the second subspace, and for means that do not come from
+    ``icms_update``. ``step`` is the geodesic distance from the previous
+    mean to ``mean`` (0 until the second subspace).
     """
 
     mean: Subspace
-    prev_mean: Subspace | None
+    flow: GeodesicFlow | None
     count: int
     step: float = 0.0
 
 
 def init_mean(p_first: Subspace) -> MeanState:
     """Start the running mean at the first observed subspace."""
-    return MeanState(mean=p_first, prev_mean=None, count=1)
+    return MeanState(mean=p_first, flow=None, count=1)
 
 
 def icms_update(state: MeanState, p_new: Subspace) -> MeanState:
@@ -63,9 +67,10 @@ def icms_update(state: MeanState, p_new: Subspace) -> MeanState:
     n = state.count + 1
     decomposition = principal_decomposition(state.mean, p_new)
     _check_cut_locus(decomposition.theta, "icms_update")
+    flow = GeodesicFlow(state.mean, decomposition)
     return MeanState(
-        mean=geodesic_point(GeodesicFlow(state.mean, decomposition), 1.0 / n),
-        prev_mean=state.mean,
+        mean=geodesic_point(flow, 1.0 / n),
+        flow=flow,
         count=n,
         step=float(np.linalg.norm(decomposition.theta)) / n,
     )

@@ -30,7 +30,7 @@ from .classifiers import (
     update_classifier,
 )
 from .errors import ConfigError, CutLocusError, DimensionMismatch, RankDeficient
-from .grassmann import Subspace, geodesic_distance, orthonormalize
+from .grassmann import Subspace, geodesic_distance, geodesic_point, orthonormalize
 from .means import (
     MeanState,
     icms_update,
@@ -38,6 +38,8 @@ from .means import (
     init_mean,
     karcher_mean,
 )
+# predict_next is not called here (the prediction reads the icms flow), but
+# the benchmark's tracer wraps it by name as a pipeline attribute.
 from .prediction import compensate, predict_next
 from .transforms import TransformMatrix, apply_transform, cumulative_transform, gfk_transform
 
@@ -270,7 +272,7 @@ def _baseline_mean_state(state: PipelineState, mean: Subspace) -> MeanState:
     """Mean state of a baseline whose mean does not come from icms_update."""
     prev = state.mean_state.mean if state.mean_state is not None else None
     step = geodesic_distance(prev, mean) if prev is not None else 0.0
-    return MeanState(mean=mean, prev_mean=prev, count=state.batch_index + 1, step=step)
+    return MeanState(mean=mean, flow=None, count=state.batch_index + 1, step=step)
 
 
 def _icms_step(
@@ -282,18 +284,19 @@ def _icms_step(
     if previous is None:
         mean_state = init_mean(observed)
     else:
-        if stages.prediction and previous.prev_mean is not None:
-            predicted = predict_next(previous.prev_mean, previous.mean)
+        if stages.prediction and previous.flow is not None:
+            # The last step's flow passes through the mean at t = 1/count,
+            # so one more equal arc ends at t = 2/count. Each step angle is
+            # below pi/4 there, where predict_next would clamp.
+            predicted = geodesic_point(previous.flow, 2.0 / previous.count)
             observed = compensate(predicted, observed, cfg.blend)
         mean_state = icms_update(previous, observed)
-    if stages.cumulative and mean_state.prev_mean is not None:
-        # The last transform was built for (source, prev_mean): its angles
-        # and directions start the sweep, and icms_update bounds the step.
+    if stages.cumulative and previous is not None:
+        # The last transform was built for (source, previous mean): its
+        # angles and directions start the sweep, and icms_update bounds the
+        # step.
         transform = cumulative_transform(
-            source,
-            mean_state.prev_mean,
-            mean_state.mean,
-            previous=state.feedback_transform,
+            source, previous.mean, mean_state.mean, previous=state.feedback_transform
         )
     else:
         transform = gfk_transform(source, mean_state.mean)

@@ -8,6 +8,13 @@ through t = 0 and t = 1) predicts where the subspace goes next. A noisy
 observation is then pulled toward the prediction by blending along the
 geodesic between them.
 
+The pipeline does not call :func:`predict_next`. The incremental mean
+already lies at t = 1/n on the flow its update followed from the previous
+mean (``MeanState.flow``), so the pipeline evaluates that flow at t = 2/n,
+the same curve one equal arc on, without decomposing the pair again.
+Every step angle there is below pi/4, so the clamp cannot fire.
+:func:`predict_next` is for direct callers with an arbitrary pair.
+
 The prediction extrapolates the running mean, not the observations, so it
 trades per-batch noise for mean lag under sustained drift. On noisy
 drifting streams such as the one in acceptance criterion 7, the prediction

@@ -15,7 +15,7 @@ them, and the bases are built on first read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -240,23 +240,8 @@ class DriftParams:
     target_offset: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "kind": "synthetic",
-            "seed": self.seed,
-            "feature_dim": self.feature_dim,
-            "n_classes": self.n_classes,
-            "n_batches": self.n_batches,
-            "batch_size": self.batch_size,
-            "drift_kind": self.drift_kind,
-            "drift_rate": self.drift_rate,
-            "noise": self.noise,
-            "signal_dim": self.signal_dim,
-            "class_sep": self.class_sep,
-            "signal_spread": list(self.signal_spread),
-            "ambient_std": self.ambient_std,
-            "n_source": self.n_source,
-            "target_offset": self.target_offset,
-        }
+        spread = list(self.signal_spread)
+        return {"kind": "synthetic", **asdict(self), "signal_spread": spread}
 
 
 def _default_spread(signal_dim: int) -> np.ndarray:

@@ -22,16 +22,19 @@ blocks are the exact integrals of the second-order small-angle expansions
 of the lambda blocks, so the closed form is a small-angle approximation:
 accurate to O(theta^2) relative error and indefinite for large angles.
 
-Both closed forms are kept factored, G = L C L^T with L = [P U3, H]
-(d x 2k) and the symmetric block-diagonal core C (2k x 2k), and applied as
-((x L) C) L^T in O(n d k) instead of O(n d^2). The dense d x d matrix is
-built only when asked for. The identity and the running average of
-matrices have no such factors and are stored dense.
+Every transform is one :class:`TransformMatrix`, G = L C L^T. Both closed
+forms keep it factored, with L = [P U3, H] (d x 2k) and the symmetric
+block-diagonal core C (2k x 2k), and are applied as ((x L) C) L^T in
+O(n d k) instead of O(n d^2); the dense d x d matrix is built only when
+asked for. The identity and the running average of matrices have no such
+factors: their L is None and C is the dense G.
 """
 
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,87 +52,63 @@ SMALL_ANGLE = 1e-4
 DIRECTION_MISMATCH_LIMIT = 0.3
 
 
+@dataclass(frozen=True, eq=False)
 class TransformMatrix:
-    """A d x d symmetric alignment matrix G applied to feature rows as x @ G.
+    """A d x d symmetric alignment matrix G = left @ core @ left.T.
 
-    How the transform was made picks its form. The closed forms
-    (:func:`gfk_transform`, :func:`cumulative_transform`) come from
-    :meth:`factored` and keep G = left @ core @ left.T, with ``left`` d x 2k
-    and ``core`` 2k x 2k symmetric, plus the principal angles ``theta`` and
-    the k x k rotation ``u1`` of the source-to-target decomposition they
-    were built from. ``theta`` and ``u1`` are what the next
-    :func:`cumulative_transform` reads as the start of its sweep (its
-    ``previous``), so that pair is not decomposed twice. Constructing from
-    a d x d array (the identity, the running average of matrices) keeps
-    that array; ``left``, ``core``, ``theta`` and ``u1`` are then None.
-    ``g`` is the dense matrix in either form, built from the factors on
-    first access and cached. Every stored array is read-only.
+    G is applied to feature rows as x @ G. The closed forms
+    (:func:`gfk_transform`, :func:`cumulative_transform`) keep G factored:
+    ``left`` is d x 2k and ``core`` the 2k x 2k symmetric block core. They
+    also carry the principal angles ``theta`` and the k x k rotation ``u1``
+    of the source-to-target decomposition they were built from, which the
+    next :func:`cumulative_transform` reads as the start of its sweep (its
+    ``previous``), so that pair is not decomposed twice. With ``left`` None
+    (the identity, the running average of matrices) ``core`` is G itself,
+    and ``theta`` and ``u1`` are None. ``g`` is the dense matrix in either
+    form, built from the factors on first access and cached. Every stored
+    array is a read-only copy.
     """
 
-    __slots__ = ("left", "core", "theta", "u1", "_g")
+    core: np.ndarray
+    left: np.ndarray | None = None
+    theta: np.ndarray | None = None
+    u1: np.ndarray | None = None
 
-    def __init__(self, g: np.ndarray):
-        g = np.array(g, dtype=float, copy=True, order="C")
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"transform must be square, got shape {g.shape}")
-        if not np.isfinite(g).all():
+    def __post_init__(self):
+        core = np.array(self.core, dtype=float, copy=True, order="C")
+        if core.ndim != 2 or core.shape[0] != core.shape[1]:
+            raise ValueError(f"transform core must be square, got shape {core.shape}")
+        left = self.left
+        if left is not None:
+            left = np.array(left, dtype=float, copy=True, order="C")
+            if left.ndim != 2 or left.shape[1] != core.shape[0]:
+                raise ValueError(
+                    f"factor shapes {left.shape} and {core.shape} do not chain"
+                )
+        if not all(np.isfinite(a).all() for a in (core, left) if a is not None):
             raise ValueError("transform contains non-finite entries")
-        if np.abs(g - g.T).max() > 1e-9:
-            raise ValueError("transform is not symmetric within 1e-9")
-        g = 0.5 * (g + g.T)
-        g.setflags(write=False)
-        self._set(left=None, core=None, theta=None, u1=None, _g=g)
-
-    @classmethod
-    def factored(
-        cls,
-        left: np.ndarray,
-        core: np.ndarray,
-        theta: np.ndarray | None = None,
-        u1: np.ndarray | None = None,
-    ) -> "TransformMatrix":
-        """The transform left @ core @ left.T, kept as its factors."""
-        left = np.array(left, dtype=float, copy=True, order="C")
-        core = np.array(core, dtype=float, copy=True, order="C")
-        if left.ndim != 2 or core.shape != (left.shape[1], left.shape[1]):
-            raise ValueError(
-                f"factor shapes {left.shape} and {core.shape} do not chain"
-            )
-        if not (np.isfinite(left).all() and np.isfinite(core).all()):
-            raise ValueError("transform factors contain non-finite entries")
         if np.abs(core - core.T).max() > 1e-9:
             raise ValueError("transform core is not symmetric within 1e-9")
         core = 0.5 * (core + core.T)
-        if theta is not None:
-            theta = np.array(theta, dtype=float)
-        if u1 is not None:
-            u1 = np.array(u1, dtype=float)
-        for array in (left, core, theta, u1):
+        theta = None if self.theta is None else np.array(self.theta, dtype=float)
+        u1 = None if self.u1 is None else np.array(self.u1, dtype=float)
+        for name, array in {"core": core, "left": left, "theta": theta, "u1": u1}.items():
             if array is not None:
                 array.setflags(write=False)
-        transform = cls.__new__(cls)
-        transform._set(left=left, core=core, theta=theta, u1=u1, _g=None)
-        return transform
+            object.__setattr__(self, name, array)
 
-    def _set(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"TransformMatrix is immutable; cannot set {name!r}")
-
-    @property
+    @cached_property
     def g(self) -> np.ndarray:
-        if self._g is None:
-            g = self.left @ self.core @ self.left.T
-            g = 0.5 * (g + g.T)
-            g.setflags(write=False)
-            self._set(_g=g)
-        return self._g
+        if self.left is None:
+            return self.core
+        g = self.left @ self.core @ self.left.T
+        g = 0.5 * (g + g.T)
+        g.setflags(write=False)
+        return g
 
     @property
     def dim(self) -> int:
-        return (self._g if self.left is None else self.left).shape[0]
+        return (self.core if self.left is None else self.left).shape[0]
 
     @classmethod
     def identity(cls, d: int) -> "TransformMatrix":
@@ -204,7 +183,7 @@ def _sandwich(
     core = np.block(
         [[np.diag(b1), np.diag(b2)], [np.diag(b2), np.diag(b3)]]
     )
-    return TransformMatrix.factored(left, core, theta, u3)
+    return TransformMatrix(core, left, theta, u3)
 
 
 def gfk_transform(p_source: Subspace, p_target: Subspace) -> TransformMatrix:
@@ -299,5 +278,5 @@ def apply_transform(x: np.ndarray, transform: TransformMatrix) -> np.ndarray:
             f"{transform.dim} x {transform.dim} transform"
         )
     if transform.left is None:
-        return x @ transform.g
+        return x @ transform.core
     return ((x @ transform.left) @ transform.core) @ transform.left.T

@@ -283,8 +283,8 @@ def test_criterion_7_adaptation_benefit():
     for batch, truth in zip(stream.batches, stream.truth.clean):
         observed = pca_subspace(batch.features, k)
         used = observed
-        if pred_mean is not None and pred_mean.prev_mean is not None:
-            predicted = predict_next(pred_mean.prev_mean, pred_mean.mean)
+        if pred_mean is not None and pred_mean.flow is not None:
+            predicted = predict_next(pred_mean.flow.start, pred_mean.mean)
             used = compensate(predicted, observed, adaptive.blend)
             ahead.append(
                 geodesic_distance(predicted, truth)

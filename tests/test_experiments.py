@@ -21,6 +21,7 @@ from driftalign import (
     sweep,
     write_csv_stream,
 )
+from driftalign import experiments
 
 
 def mild_drift_stream(seed=21, n_batches=60):
@@ -176,6 +177,23 @@ class TestSweep:
             rebuilt, base_config(cell.seed), "icms"
         ).summary["average_accuracy"]
         assert cell.average_accuracy == pytest.approx(direct, abs=1e-12)
+
+    def test_config_variant_runs_when_no_variant_is_given(self, monkeypatch):
+        ran = []
+
+        def recorded(*args, **kwargs):
+            report = run_experiment(*args, **kwargs)
+            ran.append(report.variant)
+            return report
+
+        monkeypatch.setattr(experiments, "run_experiment", recorded)
+        stream = mild_drift_stream(n_batches=8)
+        cfg = replace(base_config(), variant="icms-fb")
+        cells = sweep(stream.params, cfg, [4, 5], [20])
+        assert all(c.error is None for c in cells)
+        assert ran == ["icms-fb", "icms-fb"]
+        sweep(stream.params, cfg, [5], [20], variant="icms-pred")
+        assert ran[-1] == "icms-pred"
 
     def test_grid_shape_and_finiteness(self):
         stream = mild_drift_stream(n_batches=15)

@@ -116,7 +116,7 @@ def test_distance_along_flow_is_t_times_arc_length(pair, t):
 def test_icms_update_splits_the_arc_one_to_n_minus_one(pair, n):
     p1, p2, theta = pair
     arc = np.linalg.norm(theta)
-    new = icms_update(MeanState(mean=p1, prev_mean=None, count=n - 1), p2).mean
+    new = icms_update(MeanState(mean=p1, flow=None, count=n - 1), p2).mean
     assert abs(geodesic_distance(p1, new) - arc / n) < _tol(theta)
     assert abs(geodesic_distance(new, p2) - (n - 1) * arc / n) < _tol(theta)
     # The bound a carried cumulative_transform start relies on: the mean

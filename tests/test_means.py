@@ -9,6 +9,7 @@ from driftalign import (
     Subspace,
     TransformMatrix,
     geodesic_distance,
+    geodesic_point,
     icms_update,
     incremental_average_transform,
     init_mean,
@@ -29,7 +30,7 @@ class TestIcmsUpdate:
         assert geodesic_distance(state.mean, p) < 1e-12
 
     def test_one_to_n_minus_one_split(self):
-        state = MeanState(mean=line(np.radians(10)), prev_mean=None, count=2)
+        state = MeanState(mean=line(np.radians(10)), flow=None, count=2)
         state = icms_update(state, line(np.radians(40)))
         assert state.count == 3
         assert abs(np.degrees(line_angle(state.mean)) - 20.0) < 1e-9
@@ -38,7 +39,16 @@ class TestIcmsUpdate:
         p1 = random_subspace(12, 3, rng)
         p2 = perturbed(p1, 0.2, rng)
         state = icms_update(init_mean(p1), p2)
-        assert state.prev_mean is p1
+        assert state.flow.start is p1
+
+    def test_flow_passes_through_the_mean(self, rng):
+        # The carried flow is the one the mean was evaluated on: at
+        # t = 1/count it gives the mean bit for bit.
+        state = init_mean(random_subspace(12, 3, rng))
+        for _ in range(6):
+            state = icms_update(state, perturbed(state.mean, 0.3, rng))
+            point = geodesic_point(state.flow, 1.0 / state.count)
+            assert np.array_equal(point.basis, state.mean.basis)
 
     def test_repeated_identity_has_no_drift(self, rng):
         p = random_subspace(12, 3, rng)
@@ -109,7 +119,7 @@ class TestInitMean:
         p = random_subspace(10, 2, rng)
         state = init_mean(p)
         assert state.count == 1
-        assert state.prev_mean is None
+        assert state.flow is None
         assert state.mean is p
 
 

@@ -283,7 +283,7 @@ class TestProcessBatch:
         for i, batch in enumerate(batches):
             observed = pca_subspace(batch.features, 3)
             if i >= 2:
-                predicted = predict_next(mean_state.prev_mean, mean_state.mean)
+                predicted = predict_next(mean_state.flow.start, mean_state.mean)
                 used = compensate(predicted, observed, 0.5)
             else:
                 used = observed
@@ -471,13 +471,43 @@ class TestProcessBatch:
             assert len(calls) == 2, (state.batch_index, calls)
             mean_state = state.mean_state
             fresh = cumulative_transform(
-                state.source_subspace, mean_state.prev_mean, mean_state.mean
+                state.source_subspace, mean_state.flow.start, mean_state.mean
             )
             carried = state.feedback_transform
             assert np.array_equal(carried.left, fresh.left), state.batch_index
             assert np.array_equal(carried.core, fresh.core), state.batch_index
             assert np.array_equal(carried.theta, fresh.theta), state.batch_index
         assert state.batch_index == 12
+
+    def test_prediction_step_reads_the_carried_flow(self, monkeypatch):
+        # From batch 3 on, an icms-pred step makes three SVDs: compensate's,
+        # icms_update's and gfk_transform's decomposition. The prediction
+        # evaluates the flow icms_update kept, so it decomposes nothing.
+        stream = generate_drift_stream(
+            DriftParams(
+                seed=3, feature_dim=30, n_classes=2, n_batches=40, batch_size=20,
+                drift_kind="noisy-rotation", drift_rate=0.01, noise=0.1,
+                signal_dim=5, class_sep=12.0,
+            )
+        )
+        cfg = PipelineConfig(subspace_dim=5, batch_size=20, variant="icms-pred")
+        state = init_pipeline(stream.source_x, stream.source_y, cfg)
+        svd = np.linalg.svd
+        calls = []
+
+        def counted_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        for batch in stream.batches:
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", counted_svd)
+                y_hat, _, state = process_batch(state, batch, cfg)
+            assert y_hat is not None
+            if state.batch_index >= 3:
+                assert len(calls) == 3, (state.batch_index, calls)
+        assert state.batch_index == 40
 
     def test_cut_locus_batch_skipped_with_state_unchanged(self, rng, caplog):
         import logging

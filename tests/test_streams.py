@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -138,6 +139,17 @@ class TestLoadCsv:
 
 
 class TestGenerator:
+    def test_params_echo_follows_the_field_order(self):
+        params = DriftParams(
+            seed=1, feature_dim=12, n_classes=2, n_batches=8, batch_size=6,
+            signal_dim=3, signal_spread=(2.0, 1.5, 1.2),
+        )
+        echo = params.as_dict()
+        assert list(echo) == ["kind"] + [f.name for f in fields(DriftParams)]
+        assert echo["kind"] == "synthetic"
+        assert echo["signal_spread"] == [2.0, 1.5, 1.2]
+        assert echo["target_offset"] == 0.0
+
     def test_stationary_truth_constant(self):
         params = DriftParams(
             seed=1, feature_dim=12, n_classes=2, n_batches=8, batch_size=6,

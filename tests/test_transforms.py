@@ -371,7 +371,7 @@ class TestFactoredTransformMatrix:
     def test_dense_built_once_on_request(self, rng):
         ps = random_subspace(12, 3, rng)
         transform = gfk_transform(ps, perturbed(ps, 0.2, rng))
-        assert transform._g is None
+        assert "g" not in vars(transform)
         g = transform.g
         assert transform.g is g
         assert np.array_equal(g, g.T) and not g.flags.writeable
@@ -379,19 +379,21 @@ class TestFactoredTransformMatrix:
 
     def test_dense_forms_carry_no_factors(self):
         identity = TransformMatrix.identity(4)
-        assert identity.left is None and identity.core is None
+        assert identity.left is None and identity.g is identity.core
         assert identity.theta is None and identity.u1 is None
         assert identity.dim == 4
 
     def test_rejects_bad_factors(self, rng):
         left = rng.standard_normal((8, 4))
         core = np.diag([1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(ValueError):
-            TransformMatrix.factored(left, core + np.triu(np.ones((4, 4)), 1))
-        with pytest.raises(ValueError):
-            TransformMatrix.factored(np.where(left > 1.0, np.nan, left), core)
-        with pytest.raises(ValueError):
-            TransformMatrix.factored(left, core[:3, :3])
+        with pytest.raises(ValueError, match="not symmetric"):
+            TransformMatrix(core + np.triu(np.ones((4, 4)), 1), left)
+        with pytest.raises(ValueError, match="non-finite"):
+            TransformMatrix(core, np.where(left > 1.0, np.nan, left))
+        with pytest.raises(ValueError, match="do not chain"):
+            TransformMatrix(core[:3, :3], left)
+        with pytest.raises(ValueError, match="must be square"):
+            TransformMatrix(core[:3], left)
 
     def test_immutable(self, rng):
         transform = TransformMatrix.identity(3)
