@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import BadParameter, CsvParseError, DriftAlignError, LabelOutOfRange
@@ -249,34 +250,12 @@ def main(argv: list[str] | None = None) -> int:
             k_values = _parse_int_list(args.k_values, "--k-values")
             batch_sizes = _parse_int_list(args.batch_sizes, "--batch-sizes")
             cells = sweep(stream.params, cfg, k_values, batch_sizes, args.variant)
-            payload = {
-                "grid": [
-                    {
-                        "subspace_dim": c.subspace_dim,
-                        "batch_size": c.batch_size,
-                        "seed": c.seed,
-                        "average_accuracy": c.average_accuracy,
-                        "error": c.error,
-                    }
-                    for c in cells
-                ]
-            }
-            _emit(payload, args.output)
+            _emit({"grid": [asdict(c) for c in cells]}, args.output)
             return EXIT_OK
 
         if args.command == "compare-means":
             rows = compare_means(stream, cfg)
-            payload = {
-                "rows": [
-                    {
-                        "method": r.method,
-                        "average_accuracy": r.average_accuracy,
-                        "total_seconds": r.total_seconds,
-                    }
-                    for r in rows
-                ]
-            }
-            _emit(payload, args.output)
+            _emit({"rows": [asdict(r) for r in rows]}, args.output)
             return EXIT_OK
 
         raise UsageError(f"unknown command {args.command!r}")

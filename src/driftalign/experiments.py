@@ -47,13 +47,7 @@ class ExperimentReport:
     summary: dict
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "seed": self.seed,
-            "config": self.config,
-            "records": [asdict(r) for r in self.records],
-            "summary": self.summary,
-        }
+        return asdict(self)
 
     def write_json(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as handle:

@@ -133,10 +133,11 @@ class PipelineState:
     """What the next mini-batch reads, and the last batch's record.
 
     ``feedback_transform`` is the last transform (identity at first): the
-    next batch is pre-aligned with it, and "transform-average" extends it as
-    its running average. "karcher" recomputes its mean from all of
-    ``seen_subspaces``. Only the last ``record`` is kept, so the state does
-    not grow with the stream; ``run_experiment`` collects the records.
+    next batch is pre-aligned with it, the cumulative variants start their
+    sweep from it, and "avg" extends it as its running average. "karcher"
+    recomputes its mean from all of ``seen_subspaces``. Only the last
+    ``record`` is kept, so the state does not grow with the stream;
+    ``run_experiment`` collects the records.
     """
 
     source_subspace: Subspace
@@ -292,12 +293,9 @@ def _icms_step(
             observed = compensate(predicted, observed, cfg.blend)
         mean_state = icms_update(previous, observed)
     if stages.cumulative and previous is not None:
-        # The last transform was built for (source, previous mean): its
-        # angles and directions start the sweep, and icms_update bounds the
-        # step.
-        transform = cumulative_transform(
-            source, previous.mean, mean_state.mean, previous=state.feedback_transform
-        )
+        # The last transform was built for (source, previous mean): it
+        # starts the sweep, and icms_update keeps the step below pi/4.
+        transform = cumulative_transform(source, mean_state.mean, state.feedback_transform)
     else:
         transform = gfk_transform(source, mean_state.mean)
     advanced = replace(state, mean_state=mean_state, feedback_transform=transform)

@@ -17,10 +17,15 @@ source and target are transformed consistently.
 
 The cumulative variant additionally integrates over the family of geodesics
 swept while the mean-target subspace moves between two consecutive states,
-assuming the principal angles change linearly along the sweep. Its delta
-blocks are the exact integrals of the second-order small-angle expansions
-of the lambda blocks, so the closed form is a small-angle approximation:
-accurate to O(theta^2) relative error and indefinite for large angles.
+assuming the principal angles change linearly along the sweep. It extends
+the transform built for the previous mean, reading its angles and
+directions instead of decomposing that pair again. Its delta blocks are the
+exact integrals of the second-order small-angle expansions of the lambda
+blocks, so the closed form is a small-angle approximation, accurate to
+O(theta^2) relative error. A 2 x 2 block of a constant-angle sweep
+(theta0 = theta1 = theta) has determinant theta^2/3 - 4 theta^4/9, negative
+above theta = sqrt(3)/2 ~ 0.866 rad: there the core, and so G, is
+indefinite and no longer a kernel.
 
 Every transform is one :class:`TransformMatrix`, G = L C L^T. Both closed
 forms keep it factored, with L = [P U3, H] (d x 2k) and the symmetric
@@ -197,58 +202,39 @@ def gfk_transform(p_source: Subspace, p_target: Subspace) -> TransformMatrix:
 
 
 def cumulative_transform(
-    p_source: Subspace,
-    p_mean_prev: Subspace,
-    p_mean_cur: Subspace,
-    *,
-    previous: TransformMatrix | None = None,
+    p_source: Subspace, p_mean_cur: Subspace, previous: TransformMatrix
 ) -> TransformMatrix:
     """Alignment matrix integrated over the sweep between consecutive means.
 
-    The angle path start theta(0) comes from (source, previous mean) and the
-    end theta(1), along with the U3 and H directions, from (source, current
-    mean); the two angle vectors are paired by sort order as printed. When
-    the principal directions of the two decompositions differ by more than
-    0.3 rad this pairing is a rough approximation and a warning is logged.
+    ``previous`` is the closed-form transform for (source, previous mean):
+    :func:`gfk_transform` for the first sweep, this function after that.
+    The angle path start theta(0) and its directions are read from its
+    ``theta`` and ``u1``, whose angles were checked when it was built. The
+    end theta(1), along with the U3 and H directions, comes from (source,
+    current mean); the two angle vectors are paired by sort order as
+    printed. When the principal directions of the two decompositions differ
+    by more than 0.3 rad this pairing is a rough approximation and a
+    warning is logged.
 
-    ``previous``, when given, is the closed-form transform already built
-    for (``p_source``, ``p_mean_prev``): theta(0) and the start directions
-    are read from its ``theta`` and ``u1``, whose angles were checked when
-    it was built, instead of decomposing that pair again. The (previous,
-    current mean) cut-locus check is then the caller's. The pipeline can
-    skip it: :func:`~driftalign.means.icms_update` refuses an observed
-    subspace whose largest angle to the previous mean reaches
-    pi/2 - 1e-8 and puts the new mean at t = 1/n, n >= 2, on that geodesic,
-    so the largest (previous, current) angle is at most pi/4. Without
-    ``previous`` all three pairs are checked, each under its stage name.
+    No (previous, current mean) geodesic is evaluated, so the step between
+    the two means is the caller's to keep small. The pipeline's is at most
+    pi/4: :func:`~driftalign.means.icms_update` refuses an observed subspace
+    whose largest angle to the previous mean reaches pi/2 - 1e-8 and puts
+    the new mean at t = 1/n, n >= 2, on that geodesic.
 
     Raises:
-        CutLocusError: if a checked pair is at the cut locus.
+        CutLocusError: if (source, current mean) is at the cut locus.
         ValueError: if ``previous`` has no (theta, u1) factors or was built
             for another subspace dimension.
     """
-    if previous is None:
-        start = principal_decomposition(p_source, p_mean_prev)
-        theta0, u1_start = start.theta, start.u1
-        _check_cut_locus(theta0, "cumulative_transform (source vs previous mean)")
-        # Only the largest (prev, cur) angle matters here, and the cosine
-        # route is exact near pi/2.
-        cos_step = np.linalg.svd(
-            p_mean_prev.basis.T @ p_mean_cur.basis, compute_uv=False
+    theta0, u1_start = previous.theta, previous.u1
+    if theta0 is None or u1_start is None:
+        raise ValueError("previous transform carries no (theta, u1) factors")
+    if theta0.shape != (p_source.sub_dim,):
+        raise ValueError(
+            f"previous transform starts from {theta0.size} angles, "
+            f"expected k={p_source.sub_dim}"
         )
-        _check_cut_locus(
-            np.arccos(np.clip(cos_step, 0.0, 1.0)),
-            "cumulative_transform (previous vs current mean)",
-        )
-    else:
-        theta0, u1_start = previous.theta, previous.u1
-        if theta0 is None or u1_start is None:
-            raise ValueError("previous transform carries no (theta, u1) factors")
-        if theta0.shape != (p_source.sub_dim,):
-            raise ValueError(
-                f"previous transform starts from {theta0.size} angles, "
-                f"expected k={p_source.sub_dim}"
-            )
     end = principal_decomposition(p_source, p_mean_cur)
     theta1 = end.theta
     _check_cut_locus(theta1, "cumulative_transform (source vs current mean)")

@@ -8,19 +8,10 @@ import numpy as np
 import pytest
 
 import driftalign
-from driftalign import Subspace, TransformMatrix, exp_map, orthonormalize
+from driftalign import Subspace, TransformMatrix, exp_map
 
-
-def random_subspace(d, k, rng):
-    return orthonormalize(rng.standard_normal((d, k)))
-
-
-def perturbed(base, magnitude, rng):
-    """A subspace at exactly `magnitude` geodesic distance from base."""
-    z = rng.standard_normal(base.basis.shape)
-    tangent = z - base.basis @ (base.basis.T @ z)
-    tangent *= magnitude / np.linalg.norm(tangent)
-    return exp_map(base, tangent)
+# The package's own generators, under the names the test files import.
+from driftalign import perturbed_subspace as perturbed, random_subspace
 
 
 def line(angle):

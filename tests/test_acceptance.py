@@ -147,7 +147,7 @@ def test_criterion_4_cumulative_quadrature():
         cur = perturbed(prev, rng.uniform(0.0, 0.05), rng)
         if principal_angles(ps, cur)[-1] > 0.2:
             cur = prev
-        closed = cumulative_transform(ps, prev, cur).g
+        closed = cumulative_transform(ps, cur, gfk_transform(ps, prev)).g
         theta0 = principal_angles(ps, prev)
         end = principal_decomposition(ps, cur)
         u3, theta1, h = end.u1, end.theta, end.h

@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 
 from driftalign.cli import main
+from driftalign.experiments import MeanComparisonRow, SweepCell
 
 
 def run_cli(*argv):
@@ -188,6 +190,8 @@ class TestSweepCommand:
         grid = json.loads(out.read_text())["grid"]
         assert len(grid) == 4
         assert all(cell["average_accuracy"] is not None for cell in grid)
+        keys = [f.name for f in fields(SweepCell)]
+        assert all(list(cell) == keys for cell in grid)
 
     def test_missing_grid_flags_is_usage_error(self):
         assert (
@@ -212,3 +216,5 @@ class TestCompareMeansCommand:
         methods = [row["method"] for row in payload["rows"]]
         assert methods == ["incremental-averaging", "karcher", "icms"]
         assert all(np.isfinite(row["total_seconds"]) for row in payload["rows"])
+        keys = [f.name for f in fields(MeanComparisonRow)]
+        assert all(list(row) == keys for row in payload["rows"])

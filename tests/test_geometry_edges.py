@@ -1,6 +1,7 @@
 """Edge cases of the one geodesic path: property tests on analytic pairs (the
-decomposition, the flow, the exp/log round trip, the incremental mean and
-the closed-form transform) and the stage named by every cut-locus refusal.
+decomposition, the flow, the exp/log round trip, the incremental mean, the
+closed-form transform and the sign boundary of the cumulative core) and the
+stage named by every cut-locus refusal.
 
 The pairs are built from their principal angles, P1 = A and
 P2 = A cos(theta) + B sin(theta) with [A B] orthonormal, then rotated within
@@ -53,15 +54,19 @@ def _rotation(k, rng):
 
 
 @st.composite
-def analytic_pairs(draw):
-    """(p1, p2, theta) on G(k, d) with k = 1 or k = d/2 and known angles."""
+def analytic_pairs(draw, ranges=tuple((0.0, largest) for largest in LARGEST_ANGLES)):
+    """(p1, p2, theta) on G(k, d) with k = 1 or k = d/2 and known angles.
+
+    The angles are uniform on one of the (low, high) ``ranges``, and the
+    largest is that range's high end.
+    """
     d = draw(st.integers(min_value=2, max_value=24))
     k = draw(st.sampled_from(sorted({1, d // 2})))
-    largest = draw(st.sampled_from(LARGEST_ANGLES))
+    low, largest = draw(st.sampled_from(ranges))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     q, _ = np.linalg.qr(rng.standard_normal((d, 2 * k)))
     a, b = q[:, :k], q[:, k:]
-    theta = np.sort(rng.uniform(0.0, largest, k))
+    theta = np.sort(rng.uniform(low, largest, k))
     theta[-1] = largest
     p1 = Subspace(a @ _rotation(k, rng))
     p2 = Subspace((a * np.cos(theta) + b * np.sin(theta)) @ _rotation(k, rng))
@@ -137,6 +142,39 @@ def test_gfk_dense_form_is_symmetric_and_equals_the_factored_apply(pair):
     assert np.abs(apply_transform(identity, transform) - g).max() < _tol(theta)
 
 
+# A 2 x 2 block of a constant-angle cumulative core has determinant
+# theta^2/3 - 4 theta^4/9: positive below sqrt(3)/2, negative above.
+SIGN_BOUNDARY = np.sqrt(3.0) / 2.0
+
+
+@edge_settings
+@given(
+    analytic_pairs(
+        ranges=((1e-3, SIGN_BOUNDARY - 1e-3), (SIGN_BOUNDARY + 1e-3, np.pi / 2 - 1e-3))
+    )
+)
+def test_constant_angle_sweep_turns_indefinite_at_the_sign_boundary(pair):
+    source, mean, theta = pair
+    # A sweep that ends where it starts: theta0 = theta1 = theta.
+    transform = cumulative_transform(source, mean, gfk_transform(source, mean))
+    determinant = theta**2 / 3.0 - 4.0 * theta**4 / 9.0
+    smallest_core = np.linalg.eigvalsh(transform.core)[0]
+    smallest = np.linalg.eigvalsh(transform.g)[0]
+    assert np.sign(smallest_core) == np.sign(determinant.min())
+    if determinant.min() > 0.0:
+        assert smallest > -SHARP
+    else:
+        # The factor's columns are orthonormal, so G has the core's spectrum.
+        assert abs(smallest - smallest_core) < SHARP
+
+
+@pytest.mark.parametrize("theta, sign", [(0.8660, 1.0), (0.8661, -1.0)])
+def test_cumulative_core_sign_flips_between_lines_at_the_boundary(theta, sign):
+    source, mean = line(0.0), line(theta)
+    g = cumulative_transform(source, mean, gfk_transform(source, mean)).g
+    assert np.sign(np.linalg.eigvalsh(g)[0]) == sign
+
+
 @pytest.mark.parametrize(
     "stage, call",
     [
@@ -146,16 +184,8 @@ def test_gfk_dense_form_is_symmetric_and_equals_the_factored_apply(pair):
         ("gfk_transform", gfk_transform),
         ("log_map", log_map),
         (
-            r"cumulative_transform \(source vs previous mean\)",
-            lambda a, b: cumulative_transform(a, b, b),
-        ),
-        (
-            r"cumulative_transform \(previous vs current mean\)",
-            lambda a, b: cumulative_transform(a, line(np.pi / 4), line(3 * np.pi / 4)),
-        ),
-        (
             r"cumulative_transform \(source vs current mean\)",
-            lambda a, b: cumulative_transform(a, line(0.1), b),
+            lambda a, b: cumulative_transform(a, b, gfk_transform(a, line(0.1))),
         ),
     ],
 )

@@ -16,6 +16,7 @@ from driftalign import (
     karcher_mean,
     karcher_residual,
     log_map,
+    perturbed_subspace,
 )
 
 from conftest import line, line_angle, perturbed, random_subspace
@@ -212,3 +213,17 @@ class TestIncrementalAverageTransform:
             incremental_average_transform(
                 TransformMatrix.identity(4), TransformMatrix.identity(5), 2
             )
+
+
+class TestPerturbedSubspace:
+    def test_lands_at_the_requested_distance(self, rng):
+        base = random_subspace(16, 4, rng)
+        for magnitude in (1e-3, 0.2, 1.0):
+            moved = perturbed_subspace(base, magnitude, rng)
+            assert abs(geodesic_distance(base, moved) - magnitude) < 1e-12
+
+    def test_zero_magnitude_returns_the_base_and_draws_nothing(self, rng):
+        base = random_subspace(12, 3, rng)
+        state = rng.bit_generator.state
+        assert perturbed_subspace(base, 0.0, rng) is base
+        assert rng.bit_generator.state == state

@@ -437,9 +437,10 @@ class TestProcessBatch:
     @pytest.mark.parametrize("variant", ["icms-cumul", "icms-fb-cumul"])
     def test_carried_cumulative_start_equals_recomputation(self, variant, monkeypatch):
         # From batch 2 on the sweep starts from the last transform's angles
-        # and directions: the result must be the three-argument call's, bit
-        # for bit, at two SVDs per batch (icms_update's and the current
-        # mean's decomposition; the Gram-route PCA makes none).
+        # and directions: the result must equal a sweep started from a fresh
+        # (source, previous mean) transform, bit for bit, at two SVDs per
+        # batch (icms_update's and the current mean's decomposition; the
+        # Gram-route PCA makes none).
         stream = generate_drift_stream(
             DriftParams(
                 seed=5, feature_dim=512, n_classes=2, n_batches=12, batch_size=120,
@@ -470,8 +471,9 @@ class TestProcessBatch:
                 continue
             assert len(calls) == 2, (state.batch_index, calls)
             mean_state = state.mean_state
+            source = state.source_subspace
             fresh = cumulative_transform(
-                state.source_subspace, mean_state.flow.start, mean_state.mean
+                source, mean_state.mean, gfk_transform(source, mean_state.flow.start)
             )
             carried = state.feedback_transform
             assert np.array_equal(carried.left, fresh.left), state.batch_index

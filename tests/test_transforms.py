@@ -203,13 +203,13 @@ class TestDeltaBlocks:
 class TestCumulativeTransform:
     def test_all_equal_double_projector(self, rng):
         p = random_subspace(12, 3, rng)
-        g = cumulative_transform(p, p, p)
+        g = cumulative_transform(p, p, gfk_transform(p, p))
         assert np.abs(g.g - 2.0 * p.projector()).max() < 1e-12
 
     def test_degenerate_sweep_matches_small_angle_gfk(self, rng):
         ps = random_subspace(12, 3, rng)
         pm = perturbed(ps, 0.18, rng)
-        cumulative = cumulative_transform(ps, pm, pm)
+        cumulative = cumulative_transform(ps, pm, gfk_transform(ps, pm))
         plain = gfk_transform(ps, pm)
         rel = np.linalg.norm(cumulative.g - plain.g) / np.linalg.norm(plain.g)
         assert rel < 0.02
@@ -220,7 +220,7 @@ class TestCumulativeTransform:
         ps = random_subspace(12, 3, rng)
         pm_prev = perturbed(ps, 0.15, rng)
         pm_cur = perturbed(pm_prev, 0.05, rng)
-        closed = cumulative_transform(ps, pm_prev, pm_cur)
+        closed = cumulative_transform(ps, pm_cur, gfk_transform(ps, pm_prev))
 
         theta0 = principal_angles(ps, pm_prev)
         end = principal_decomposition(ps, pm_cur)
@@ -255,27 +255,17 @@ class TestCumulativeTransform:
         ps = random_subspace(12, 3, rng)
         pm_prev = perturbed(ps, 0.15, rng)
         pm_cur = perturbed(pm_prev, 0.05, rng)
-        g = cumulative_transform(ps, pm_prev, pm_cur).g
+        g = cumulative_transform(ps, pm_cur, gfk_transform(ps, pm_prev)).g
         assert np.abs(g - g.T).max() < 1e-9
         eigenvalues = np.linalg.eigvalsh(g)
         assert eigenvalues.min() > -1e-8
         assert eigenvalues.max() < 2.0 + 1e-8
 
-    def test_previous_start_equals_the_three_argument_call(self, rng):
-        ps = random_subspace(12, 3, rng)
-        pm_prev = perturbed(ps, 0.15, rng)
-        pm_cur = perturbed(pm_prev, 0.05, rng)
-        previous = gfk_transform(ps, pm_prev)
-        carried = cumulative_transform(ps, pm_prev, pm_cur, previous=previous)
-        fresh = cumulative_transform(ps, pm_prev, pm_cur)
-        for name in ("left", "core", "theta", "u1"):
-            assert np.array_equal(getattr(carried, name), getattr(fresh, name)), name
-
     def test_previous_without_factors_rejected(self, rng):
         ps = random_subspace(12, 3, rng)
         pm = perturbed(ps, 0.1, rng)
         with pytest.raises(ValueError, match="no .theta, u1. factors"):
-            cumulative_transform(ps, pm, pm, previous=TransformMatrix.identity(12))
+            cumulative_transform(ps, pm, TransformMatrix.identity(12))
 
     def test_previous_of_another_dimension_rejected(self, rng):
         ps = random_subspace(12, 3, rng)
@@ -283,7 +273,7 @@ class TestCumulativeTransform:
         wider = random_subspace(12, 4, rng)
         previous = gfk_transform(wider, perturbed(wider, 0.1, rng))
         with pytest.raises(ValueError, match="from 4 angles, expected k=3"):
-            cumulative_transform(ps, pm, pm, previous=previous)
+            cumulative_transform(ps, pm, previous)
 
     def test_direction_mismatch_warned(self, rng, caplog):
         import logging
@@ -292,7 +282,7 @@ class TestCumulativeTransform:
         pm_prev = random_subspace(12, 3, rng)
         pm_cur = random_subspace(12, 3, rng)
         with caplog.at_level(logging.WARNING, logger="driftalign.transforms"):
-            cumulative_transform(ps, pm_prev, pm_cur)
+            cumulative_transform(ps, pm_cur, gfk_transform(ps, pm_prev))
         assert any("pairing" in record.message for record in caplog.records)
 
 
@@ -357,7 +347,7 @@ class TestFactoredForm:
         ps = random_subspace(d, k, rng)
         prev = perturbed(ps, 0.1 * np.sqrt(k), rng)
         cur = perturbed(prev, 0.02 * np.sqrt(k), rng)
-        transform = cumulative_transform(ps, prev, cur)
+        transform = cumulative_transform(ps, cur, gfk_transform(ps, prev))
         end = principal_decomposition(ps, cur)
         blocks = delta_blocks(principal_angles(ps, prev), end.theta)
         dense = dense_closed_form(ps, end.u1, end.h, blocks)
