@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadParameter, ConfigError
+from .errors import BadParameter, DriftAlignError
 from .pipeline import (
     VARIANTS,
     BatchRecord,
@@ -26,14 +26,14 @@ from .pipeline import (
 )
 from .streams import Stream, stream_from_params
 
+
 def config_for_variant(base: PipelineConfig, variant: str) -> PipelineConfig:
-    """The base config running ``variant``; ``source`` never adapts."""
+    """The base config running ``variant``."""
     if variant not in VARIANTS:
         raise BadParameter(
             f"unknown variant {variant!r}; expected one of {sorted(VARIANTS)}"
         )
-    adaptive = base.adaptive_classifier and VARIANTS[variant].step is not None
-    return replace(base, variant=variant, adaptive_classifier=adaptive)
+    return replace(base, variant=variant)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +178,7 @@ def sweep(
                         average_accuracy=report.summary["average_accuracy"],
                     )
                 )
-            except (ConfigError, BadParameter, ValueError, ArithmeticError) as err:
+            except (DriftAlignError, ValueError, ArithmeticError) as err:
                 cells.append(
                     SweepCell(
                         subspace_dim=k,

@@ -179,14 +179,6 @@ def principal_decomposition(p1: Subspace, p2: Subspace) -> PrincipalDecompositio
     return PrincipalDecomposition(u1=u1, v=v, theta=theta, h=h)
 
 
-def _check_cut_locus(theta: np.ndarray, what: str) -> None:
-    """Raise CutLocusError naming ``what`` if the largest angle is at pi/2."""
-    if theta[-1] >= np.pi / 2 - CUT_LOCUS_TOL:
-        raise CutLocusError(
-            f"{what}: principal angle {theta[-1]:.6f} is at the cut locus (pi/2)"
-        )
-
-
 def principal_angles(p1: Subspace, p2: Subspace) -> np.ndarray:
     """Principal angles in [0, pi/2], nondecreasing.
 
@@ -204,19 +196,27 @@ def principal_angles(p1: Subspace, p2: Subspace) -> np.ndarray:
 
 
 def geodesic_distance(p1: Subspace, p2: Subspace) -> float:
-    """Arc length ||theta||_2 of the principal-angle vector, in radians."""
-    return float(np.linalg.norm(principal_angles(p1, p2)))
+    """Arc length ||theta||_2 in radians, read off principal_decomposition."""
+    return float(np.linalg.norm(principal_decomposition(p1, p2).theta))
 
 
-def geodesic(p1: Subspace, p2: Subspace) -> GeodesicFlow:
-    """The geodesic from p1 (t=0) to p2 (t=1).
+def geodesic(p1: Subspace, p2: Subspace, stage: str = "geodesic") -> GeodesicFlow:
+    """The geodesic from p1 (t=0) to p2 (t=1), refused at the cut locus.
+
+    Every stage that follows a geodesic or reads its decomposition builds
+    it here, so this is the one place that refuses the cut locus.
+    ``stage`` only names the caller in the error; it changes nothing else.
 
     Raises:
-        CutLocusError: if any principal angle is within 1e-8 of pi/2,
-            where the connecting geodesic stops being unique.
+        CutLocusError: naming ``stage``, if any principal angle is within
+            1e-8 of pi/2, where the connecting geodesic stops being unique.
     """
     decomposition = principal_decomposition(p1, p2)
-    _check_cut_locus(decomposition.theta, "geodesic")
+    largest = decomposition.theta[-1]
+    if largest >= np.pi / 2 - CUT_LOCUS_TOL:
+        raise CutLocusError(
+            f"{stage}: principal angle {largest:.6f} is at the cut locus (pi/2)"
+        )
     return GeodesicFlow(start=p1, decomposition=decomposition)
 
 
@@ -242,8 +242,7 @@ def log_map(base: Subspace, x: Subspace) -> np.ndarray:
     Raises:
         CutLocusError: if any principal angle is within 1e-8 of pi/2.
     """
-    pd = principal_decomposition(base, x)
-    _check_cut_locus(pd.theta, "log_map")
+    pd = geodesic(base, x, "log_map").decomposition
     return -(pd.h * pd.theta) @ pd.u1.T
 
 

@@ -17,12 +17,11 @@ from .errors import DimensionMismatch, NoConvergence
 from .grassmann import (
     GeodesicFlow,
     Subspace,
-    _check_cut_locus,
     exp_map,
+    geodesic,
     geodesic_point,
     log_map,
     orthonormalize,
-    principal_decomposition,
 )
 from .transforms import TransformMatrix
 
@@ -65,14 +64,12 @@ def icms_update(state: MeanState, p_new: Subspace) -> MeanState:
         DimensionMismatch: on incompatible shapes.
     """
     n = state.count + 1
-    decomposition = principal_decomposition(state.mean, p_new)
-    _check_cut_locus(decomposition.theta, "icms_update")
-    flow = GeodesicFlow(state.mean, decomposition)
+    flow = geodesic(state.mean, p_new, "icms_update")
     return MeanState(
         mean=geodesic_point(flow, 1.0 / n),
         flow=flow,
         count=n,
-        step=float(np.linalg.norm(decomposition.theta)) / n,
+        step=float(np.linalg.norm(flow.decomposition.theta)) / n,
     )
 
 

@@ -82,7 +82,9 @@ class PipelineConfig:
     sustained drift; whether the paper applies the prediction in the
     feedback stage instead is left open by its abstract.
     ``adaptive_classifier`` updates the classifier with every row of a
-    batch and its predicted label, ungated.
+    batch and its predicted label, ungated; ``source`` never adapts. No
+    pipeline code reads ``batch_size`` or ``seed``: reports echo them, and
+    ``sweep`` seeds its cells from them.
     """
 
     subspace_dim: int
@@ -420,7 +422,7 @@ def process_batch(
             apply_transform(aligned.features, transform),
         )
     classifier = state.classifier
-    if cfg.adaptive_classifier and cfg.update_rate > 0.0:
+    if stages.step is not None and cfg.adaptive_classifier:
         # Pseudo-labels come from the aligned space; the raw-anchored
         # centroids are blended with raw batch rows so the stored model and
         # its per-batch aligned view stay in consistent coordinates.

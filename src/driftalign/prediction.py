@@ -6,7 +6,9 @@ last step from the previous to the current mean defines a velocity, and
 continuing the geodesic for one more equal arc (t = 2 on the flow fit
 through t = 0 and t = 1) predicts where the subspace goes next. A noisy
 observation is then pulled toward the prediction by blending along the
-geodesic between them.
+geodesic between them. Both take their flow from
+:func:`~driftalign.grassmann.geodesic`, which refuses the cut locus;
+:func:`predict_next` then clamps the flow's angles at pi/4 before t = 2.
 
 The pipeline does not call :func:`predict_next`. The incremental mean
 already lies at t = 1/n on the flow its update followed from the previous
@@ -34,13 +36,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import AngleClampWarning, BlendOutOfRange
-from .grassmann import (
-    GeodesicFlow,
-    Subspace,
-    _check_cut_locus,
-    geodesic_point,
-    principal_decomposition,
-)
+from .grassmann import Subspace, geodesic, geodesic_point
 
 # Per-direction extrapolation step cap: doubling an angle above pi/4 would
 # shoot past the cut locus, so noisy streams are clamped here.
@@ -56,17 +52,17 @@ def predict_next(p_mean_prev: Subspace, p_mean_cur: Subspace) -> Subspace:
     doubling (with an :class:`AngleClampWarning`) so that extrapolation
     cannot overshoot the cut locus on noisy streams.
     """
-    decomposition = principal_decomposition(p_mean_prev, p_mean_cur)
-    theta = decomposition.theta
-    _check_cut_locus(theta, "predict_next")
+    flow = geodesic(p_mean_prev, p_mean_cur, "predict_next")
+    theta = flow.decomposition.theta
     if theta[-1] > MAX_STEP_ANGLE:
         warnings.warn(
             f"extrapolation step angle {theta[-1]:.4f} exceeds pi/4; clamping",
             AngleClampWarning,
             stacklevel=2,
         )
-        decomposition = replace(decomposition, theta=np.minimum(theta, MAX_STEP_ANGLE))
-    return geodesic_point(GeodesicFlow(p_mean_prev, decomposition), 2.0)
+        clamped = replace(flow.decomposition, theta=np.minimum(theta, MAX_STEP_ANGLE))
+        flow = replace(flow, decomposition=clamped)
+    return geodesic_point(flow, 2.0)
 
 
 def compensate(
@@ -80,6 +76,4 @@ def compensate(
     """
     if not 0.0 <= blend <= 1.0:
         raise BlendOutOfRange(f"blend must be in [0, 1], got {blend}")
-    decomposition = principal_decomposition(p_observed, p_predicted)
-    _check_cut_locus(decomposition.theta, "compensate")
-    return geodesic_point(GeodesicFlow(p_observed, decomposition), blend)
+    return geodesic_point(geodesic(p_observed, p_predicted, "compensate"), blend)

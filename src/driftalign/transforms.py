@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AngleOutOfRange, DimensionMismatch, LengthMismatch
-from .grassmann import Subspace, _check_cut_locus, principal_decomposition
+from .grassmann import Subspace, geodesic
 
 logger = logging.getLogger(__name__)
 
@@ -193,12 +193,8 @@ def _sandwich(
 
 def gfk_transform(p_source: Subspace, p_target: Subspace) -> TransformMatrix:
     """Closed-form alignment matrix for the source-to-target geodesic."""
-    decomposition = principal_decomposition(p_source, p_target)
-    theta = decomposition.theta
-    _check_cut_locus(theta, "gfk_transform")
-    return _sandwich(
-        p_source, decomposition.u1, decomposition.h, lambda_blocks(theta), theta
-    )
+    pd = geodesic(p_source, p_target, "gfk_transform").decomposition
+    return _sandwich(p_source, pd.u1, pd.h, lambda_blocks(pd.theta), pd.theta)
 
 
 def cumulative_transform(
@@ -235,9 +231,10 @@ def cumulative_transform(
             f"previous transform starts from {theta0.size} angles, "
             f"expected k={p_source.sub_dim}"
         )
-    end = principal_decomposition(p_source, p_mean_cur)
+    end = geodesic(
+        p_source, p_mean_cur, "cumulative_transform (source vs current mean)"
+    ).decomposition
     theta1 = end.theta
-    _check_cut_locus(theta1, "cumulative_transform (source vs current mean)")
 
     # Per-column mismatch between the paired principal directions, sign
     # ambiguity removed; columns of both factors are angle-sorted.

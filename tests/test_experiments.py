@@ -50,7 +50,6 @@ class TestVariantMapping:
         assert cfg.variant == "icms-cumul" and not cfg.use_feedback
         adaptive = replace(base_config(), adaptive_classifier=True)
         assert config_for_variant(adaptive, "avg").adaptive_classifier
-        assert not config_for_variant(adaptive, "source").adaptive_classifier
 
     def test_unknown_variant(self):
         with pytest.raises(BadParameter):
@@ -211,6 +210,17 @@ class TestSweep:
         assert by_key[(8, 6)].average_accuracy is None
         for key in [(4, 6), (4, 20), (8, 20)]:
             assert by_key[key].error is None
+
+    def test_no_convergence_marks_the_cell(self):
+        # A Karcher budget of zero iterations cannot meet a tight tolerance
+        # once two subspaces differ: NoConvergence, a RuntimeError.
+        stream = mild_drift_stream(n_batches=6)
+        cfg = replace(base_config(), karcher_tol=1e-9, karcher_max_iter=0)
+        cells = sweep(stream.params, cfg, [4, 5], [20], variant="karcher")
+        assert len(cells) == 2
+        for cell in cells:
+            assert cell.error.startswith("NoConvergence"), cell.error
+            assert cell.average_accuracy is None
 
     def test_accuracy_peaks_at_planted_rank(self):
         stream = generate_drift_stream(

@@ -84,6 +84,9 @@ def test_decomposition_identities(pair):
     # Angles whose cosines round to 1 are resolved only jointly.
     assert abs(np.linalg.norm(pd.theta) - np.linalg.norm(theta)) < SHARP
     assert np.abs(pd.theta - theta).max() < _tol(theta)
+    # The distance reads the decomposition; principal_angles is a second,
+    # independent route (cosine and sine SVDs).
+    assert abs(geodesic_distance(p1, p2) - np.linalg.norm(principal_angles(p1, p2))) < SHARP
     cos_part = pd.u1 @ np.diag(np.cos(pd.theta)) @ pd.v.T
     sin_part = -pd.h @ np.diag(np.sin(pd.theta)) @ pd.v.T
     overlap = p1.basis.T @ p2.basis
@@ -178,6 +181,7 @@ def test_cumulative_core_sign_flips_between_lines_at_the_boundary(theta, sign):
 @pytest.mark.parametrize(
     "stage, call",
     [
+        ("geodesic", geodesic),
         ("icms_update", lambda a, b: icms_update(init_mean(a), b)),
         ("predict_next", predict_next),
         ("compensate", lambda a, b: compensate(b, a, 0.5)),

@@ -53,6 +53,35 @@ def svd_pca_oracle(x, k):
     return orthonormalize(vt[:k].T)
 
 
+def counted_batches(stream, cfg, monkeypatch):
+    """Run the stream, yielding each advanced state and its np.linalg.svd calls."""
+    state = init_pipeline(stream.source_x, stream.source_y, cfg)
+    svd = np.linalg.svd
+    calls = []
+
+    def counted_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    for batch in stream.batches:
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", counted_svd)
+            y_hat, _, state = process_batch(state, batch, cfg)
+        assert y_hat is not None
+        yield state, list(calls)
+
+
+def noisy_rotation_stream():
+    return generate_drift_stream(
+        DriftParams(
+            seed=3, feature_dim=30, n_classes=2, n_batches=40, batch_size=20,
+            drift_kind="noisy-rotation", drift_rate=0.01, noise=0.1,
+            signal_dim=5, class_sep=12.0,
+        )
+    )
+
+
 def rows_with_singular_ratio(rng, n, d, k, ratio):
     """Rows whose centered matrix has singular values 1 (k - 1 times) and ratio.
 
@@ -453,20 +482,7 @@ class TestProcessBatch:
             PipelineConfig(subspace_dim=100, batch_size=120, adaptive_classifier=True),
             variant,
         )
-        state = init_pipeline(stream.source_x, stream.source_y, cfg)
-        svd = np.linalg.svd
-        calls = []
-
-        def counted_svd(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        for batch in stream.batches:
-            calls.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(np.linalg, "svd", counted_svd)
-                y_hat, _, state = process_batch(state, batch, cfg)
-            assert y_hat is not None
+        for state, calls in counted_batches(stream, cfg, monkeypatch):
             if state.batch_index == 1:
                 continue
             assert len(calls) == 2, (state.batch_index, calls)
@@ -485,30 +501,19 @@ class TestProcessBatch:
         # From batch 3 on, an icms-pred step makes three SVDs: compensate's,
         # icms_update's and gfk_transform's decomposition. The prediction
         # evaluates the flow icms_update kept, so it decomposes nothing.
-        stream = generate_drift_stream(
-            DriftParams(
-                seed=3, feature_dim=30, n_classes=2, n_batches=40, batch_size=20,
-                drift_kind="noisy-rotation", drift_rate=0.01, noise=0.1,
-                signal_dim=5, class_sep=12.0,
-            )
-        )
         cfg = PipelineConfig(subspace_dim=5, batch_size=20, variant="icms-pred")
-        state = init_pipeline(stream.source_x, stream.source_y, cfg)
-        svd = np.linalg.svd
-        calls = []
-
-        def counted_svd(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        for batch in stream.batches:
-            calls.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(np.linalg, "svd", counted_svd)
-                y_hat, _, state = process_batch(state, batch, cfg)
-            assert y_hat is not None
+        for state, calls in counted_batches(noisy_rotation_stream(), cfg, monkeypatch):
             if state.batch_index >= 3:
                 assert len(calls) == 3, (state.batch_index, calls)
+        assert state.batch_index == 40
+
+    def test_average_step_reads_both_distances_off_decompositions(self, monkeypatch):
+        # From batch 2 on, an avg step makes two k x k SVDs: the batch
+        # transform's decomposition and the mean step's geodesic_distance.
+        cfg = PipelineConfig(subspace_dim=5, batch_size=20, variant="avg")
+        for state, calls in counted_batches(noisy_rotation_stream(), cfg, monkeypatch):
+            if state.batch_index >= 2:
+                assert calls == [(5, 5), (5, 5)], (state.batch_index, calls)
         assert state.batch_index == 40
 
     def test_cut_locus_batch_skipped_with_state_unchanged(self, rng, caplog):
@@ -602,6 +607,21 @@ class TestProcessBatch:
         batch = StreamBatch(features=rng.standard_normal((30, 10)) + 2.0)
         _, _, new_state = process_batch(state, batch, cfg)
         assert not np.array_equal(new_state.classifier.centroids, state.classifier.centroids)
+
+    def test_source_variant_never_adapts(self, rng):
+        # process_batch owns the rule: even an adaptive config leaves the
+        # source classifier as it was trained.
+        x, y = gaussian_source(rng)
+        cfg = PipelineConfig(
+            subspace_dim=3, variant="source", adaptive_classifier=True, update_rate=0.5
+        )
+        state = init_pipeline(x, y, cfg)
+        trained = state.classifier
+        for _ in range(5):
+            batch = StreamBatch(features=rng.standard_normal((30, 10)) + 2.0)
+            y_hat, _, state = process_batch(state, batch, cfg)
+            assert y_hat is not None
+            assert state.classifier is trained
 
 
 class TestAverageAccuracy:
