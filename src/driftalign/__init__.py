@@ -34,7 +34,6 @@ from .experiments import (
     ExperimentReport,
     MeanComparisonRow,
     SweepCell,
-    VARIANTS,
     compare_means,
     config_for_variant,
     rerun_from_report,
@@ -70,11 +69,11 @@ from .pipeline import (
     PipelineConfig,
     PipelineState,
     StreamBatch,
+    VARIANTS,
     average_accuracy,
     init_pipeline,
     pca_subspace,
     process_batch,
-    recursive_feedback,
 )
 from .prediction import compensate, predict_next
 from .streams import (

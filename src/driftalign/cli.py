@@ -14,8 +14,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .errors import BadParameter, CsvParseError, DriftAlignError, LabelOutOfRange
-from .pipeline import PipelineConfig
-from .experiments import VARIANTS, compare_means, run_experiment, sweep
+from .pipeline import VARIANTS, PipelineConfig
+from .experiments import compare_means, run_experiment, sweep
 from .streams import (
     DRIFT_KINDS,
     DatasetSpec,
@@ -196,6 +196,7 @@ def _pipeline_config(args: argparse.Namespace, feature_dim: int) -> PipelineConf
     return PipelineConfig(
         subspace_dim=k,
         batch_size=args.batch_size,
+        variant=args.variant,
         adaptive_classifier=args.adaptive,
         blend=args.blend,
         classifier_kind=args.classifier,
@@ -237,8 +238,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "run":
             report = run_experiment(
-                stream, cfg, args.variant,
-                output_path=args.output, csv_path=args.csv,
+                stream, cfg, output_path=args.output, csv_path=args.csv
             )
             if not args.output:
                 _emit(report.to_dict(), None)
@@ -249,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             k_values = _parse_int_list(args.k_values, "--k-values")
             batch_sizes = _parse_int_list(args.batch_sizes, "--batch-sizes")
-            cells = sweep(stream.params, cfg, k_values, batch_sizes, args.variant)
+            cells = sweep(stream.params, cfg, k_values, batch_sizes)
             _emit({"grid": [asdict(c) for c in cells]}, args.output)
             return EXIT_OK
 

@@ -15,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadParameter, DriftAlignError
+from .errors import DriftAlignError
 from .pipeline import (
-    VARIANTS,
     BatchRecord,
     PipelineConfig,
     average_accuracy,
@@ -28,11 +27,7 @@ from .streams import Stream, stream_from_params
 
 
 def config_for_variant(base: PipelineConfig, variant: str) -> PipelineConfig:
-    """The base config running ``variant``."""
-    if variant not in VARIANTS:
-        raise BadParameter(
-            f"unknown variant {variant!r}; expected one of {sorted(VARIANTS)}"
-        )
+    """The base config running ``variant`` (``PipelineConfig`` checks the id)."""
     return replace(base, variant=variant)
 
 
@@ -84,23 +79,20 @@ def _summarize(records: tuple[BatchRecord, ...], total_seconds: float, skipped: 
 def run_experiment(
     stream: Stream,
     cfg: PipelineConfig,
-    variant: str | None = None,
     output_path: str | Path | None = None,
     csv_path: str | Path | None = None,
 ) -> ExperimentReport:
-    """Run one variant over a stream and (optionally) write the report.
+    """Run ``cfg.variant`` over a stream and (optionally) write the report.
 
-    ``variant``, when given, replaces ``cfg.variant``. On a mid-stream
-    abort the partial report is still flushed to ``output_path`` before the
-    error propagates.
+    On a mid-stream abort the partial report is still flushed to
+    ``output_path`` before the error propagates.
     """
-    run_cfg = config_for_variant(cfg, cfg.variant if variant is None else variant)
-    state = init_pipeline(stream.source_x, stream.source_y, run_cfg)
+    state = init_pipeline(stream.source_x, stream.source_y, cfg)
     started = time.perf_counter()
     records, skipped = [], 0
     try:
         for batch in stream.batches:
-            y_hat, _, state = process_batch(state, batch, run_cfg)
+            y_hat, _, state = process_batch(state, batch, cfg)
             if y_hat is None:
                 skipped += 1
             else:
@@ -108,9 +100,9 @@ def run_experiment(
     finally:
         total = time.perf_counter() - started
         report = ExperimentReport(
-            variant=run_cfg.variant,
-            seed=run_cfg.seed,
-            config=dict(asdict(run_cfg), stream=dict(stream.params)),
+            variant=cfg.variant,
+            seed=cfg.seed,
+            config=dict(asdict(cfg), stream=dict(stream.params)),
             records=tuple(records),
             summary=_summarize(tuple(records), total, skipped),
         )
@@ -148,11 +140,9 @@ def sweep(
     base_cfg: PipelineConfig,
     k_values: list[int],
     batch_sizes: list[int],
-    variant: str | None = None,
 ) -> list[SweepCell]:
-    """Grid of runs over subspace dimension and batch size.
+    """Grid of runs of ``base_cfg.variant`` over subspace dimension and batch size.
 
-    Every cell runs ``variant``, or ``base_cfg.variant`` when it is None.
     Each cell is independently seeded from the base seed and rebuilds the
     stream at its own batch size. A failing cell is marked with its error
     and the sweep continues.
@@ -169,25 +159,11 @@ def sweep(
                 cfg = replace(
                     base_cfg, subspace_dim=k, batch_size=batch_size, seed=cell_seed
                 )
-                report = run_experiment(stream, cfg, variant)
-                cells.append(
-                    SweepCell(
-                        subspace_dim=k,
-                        batch_size=batch_size,
-                        seed=cell_seed,
-                        average_accuracy=report.summary["average_accuracy"],
-                    )
-                )
+                accuracy = run_experiment(stream, cfg).summary["average_accuracy"]
+                error = None
             except (DriftAlignError, ValueError, ArithmeticError) as err:
-                cells.append(
-                    SweepCell(
-                        subspace_dim=k,
-                        batch_size=batch_size,
-                        seed=cell_seed,
-                        average_accuracy=None,
-                        error=f"{type(err).__name__}: {err}",
-                    )
-                )
+                accuracy, error = None, f"{type(err).__name__}: {err}"
+            cells.append(SweepCell(k, batch_size, cell_seed, accuracy, error))
     return cells
 
 
@@ -211,7 +187,7 @@ def compare_means(stream: Stream, cfg: PipelineConfig) -> list[MeanComparisonRow
         ("karcher", "karcher"),
         ("icms", "icms"),
     ):
-        report = run_experiment(stream, cfg, variant)
+        report = run_experiment(stream, replace(cfg, variant=variant))
         rows.append(
             MeanComparisonRow(
                 method=method_name,

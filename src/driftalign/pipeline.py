@@ -82,9 +82,11 @@ class PipelineConfig:
     sustained drift; whether the paper applies the prediction in the
     feedback stage instead is left open by its abstract.
     ``adaptive_classifier`` updates the classifier with every row of a
-    batch and its predicted label, ungated; ``source`` never adapts. No
-    pipeline code reads ``batch_size`` or ``seed``: reports echo them, and
-    ``sweep`` seeds its cells from them.
+    batch and its predicted label, ungated; ``source`` never adapts. The
+    update moves centroids, which the linear-margin kind does not read,
+    so it leaves that kind's predictions unchanged. No pipeline code reads
+    ``batch_size`` or ``seed``: reports echo them, and ``sweep`` seeds its
+    cells from them.
     """
 
     subspace_dim: int
@@ -212,29 +214,17 @@ def average_accuracy(per_batch: list[float] | tuple[float, ...] | np.ndarray) ->
     return float(np.mean(values))
 
 
-def recursive_feedback(batch: StreamBatch, transform: TransformMatrix) -> StreamBatch:
-    """Pre-align the next batch's features with the fed-back transform."""
-    return StreamBatch(
-        features=apply_transform(batch.features, transform), labels=batch.labels
-    )
-
-
 def init_pipeline(
     x_s: np.ndarray, y_s: np.ndarray, cfg: PipelineConfig
 ) -> PipelineState:
     """Embed the source once, train the classifier, start with an identity feedback.
 
     Raises:
-        ValueError: if ``x_s`` is not a finite 2-D matrix or ``y_s`` does
-            not hold one label per row, as ``StreamBatch`` checks a batch.
+        ValueError: from ``StreamBatch``, if ``x_s`` is not a finite 2-D
+            matrix or ``y_s`` does not hold one label per row.
     """
-    x_s = np.asarray(x_s, dtype=float)
-    if x_s.ndim != 2:
-        raise ValueError(f"source features must be 2-D, got shape {x_s.shape}")
-    if not np.isfinite(x_s).all():
-        raise ValueError("source features contain non-finite values")
-    if np.shape(y_s) != (x_s.shape[0],):
-        raise ValueError("source labels must have one entry per feature row")
+    source = StreamBatch(x_s, y_s)
+    x_s, y_s = source.features, source.labels
     d = x_s.shape[1]
     if 2 * cfg.subspace_dim > d:
         raise ConfigError(
@@ -398,15 +388,16 @@ def process_batch(
         )
     started = time.perf_counter()
     n = state.batch_index + 1
+    # x is the batch carried through the transforms in maps, in order.
+    x, maps = batch.features, ()
     if stages.step is None:
         advanced, dist_source, dist_step = state, 0.0, 0.0
-        y_hat = classify(state.classifier, batch.features)
     else:
-        aligned = batch
         if stages.feedback:
-            aligned = recursive_feedback(batch, state.feedback_transform)
+            x = apply_transform(x, state.feedback_transform)
+            maps = (state.feedback_transform,)
         try:
-            observed = pca_subspace(aligned.features, cfg.subspace_dim)
+            observed = pca_subspace(x, cfg.subspace_dim)
             advanced, dist_source = stages.step(state, observed, cfg)
         except CutLocusError as err:
             logger.warning("batch %d skipped at the cut locus: %s", n, err)
@@ -415,12 +406,9 @@ def process_batch(
             logger.warning("batch %d skipped as rank deficient: %s", n, err)
             return None, None, state
         dist_step = advanced.mean_state.step
-        transform = advanced.feedback_transform
-        maps = (state.feedback_transform, transform) if stages.feedback else (transform,)
-        y_hat = classify(
-            _aligned_view(state.classifier, maps),
-            apply_transform(aligned.features, transform),
-        )
+        x = apply_transform(x, advanced.feedback_transform)
+        maps += (advanced.feedback_transform,)
+    y_hat = classify(_aligned_view(state.classifier, maps), x)
     classifier = state.classifier
     if stages.step is not None and cfg.adaptive_classifier:
         # Pseudo-labels come from the aligned space; the raw-anchored

@@ -279,15 +279,6 @@ def _rotate_frame(
     return frame * np.cos(angle_per_direction) + partners * np.sin(angle_per_direction)
 
 
-def _jitter_frame(
-    frame: np.ndarray, magnitude: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Move span(frame) by exactly ``magnitude`` radians in a random direction."""
-    if magnitude == 0.0:
-        return frame
-    return perturbed_subspace(orthonormalize(frame), magnitude, rng).basis
-
-
 def generate_drift_stream(params: DriftParams) -> Stream:
     """Deterministic synthetic drifting stream with per-step ground truth.
 
@@ -373,7 +364,7 @@ def generate_drift_stream(params: DriftParams) -> Stream:
         )
         observed = clean
         if p.drift_kind == "noisy-rotation":
-            observed = _jitter_frame(clean, p.noise, rng)
+            observed = perturbed_subspace(orthonormalize(clean), p.noise, rng).basis
             jittered.append(observed)
         shift = (
             n * p.drift_rate * shift_direction

@@ -9,6 +9,7 @@ seconds.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ def test_criterion_6_convergence_diagnostics():
         )
     )
     cfg = PipelineConfig(subspace_dim=5, batch_size=20, seed=11)
-    report = run_experiment(stream, cfg, "icms")
+    report = run_experiment(stream, replace(cfg, variant="icms"))
     steps = np.array([r.dist_mean_step for r in report.records])
     dist_source = np.array([r.dist_source_mean for r in report.records])
     early = steps[9:30].mean()    # n in [10, 30]
@@ -260,10 +261,15 @@ def test_criterion_7_adaptation_benefit():
     adaptive = PipelineConfig(
         subspace_dim=5, batch_size=20, seed=0, adaptive_classifier=True
     )
-    source = run_experiment(stream, frozen, "source").summary["average_accuracy"]
-    full = run_experiment(stream, adaptive, "icms-fb-pred").summary["average_accuracy"]
-    icms = run_experiment(stream, adaptive, "icms").summary["average_accuracy"]
-    pred = run_experiment(stream, adaptive, "icms-pred").summary["average_accuracy"]
+
+    def accuracy(cfg, variant):
+        report = run_experiment(stream, replace(cfg, variant=variant))
+        return report.summary["average_accuracy"]
+
+    source = accuracy(frozen, "source")
+    full = accuracy(adaptive, "icms-fb-pred")
+    icms = accuracy(adaptive, "icms")
+    pred = accuracy(adaptive, "icms-pred")
     elapsed = time.perf_counter() - started
 
     margin_ok = full - source >= 0.10
@@ -328,7 +334,7 @@ def test_criterion_8_speed_hierarchy():
         subspace_dim=100, batch_size=120, seed=3,
         karcher_max_iter=5, karcher_tol=5e-2,
     )
-    icms_report = run_experiment(stream, cfg, "icms")
+    icms_report = run_experiment(stream, replace(cfg, variant="icms"))
     mean_ms = icms_report.summary["mean_batch_ms"]
     rows = {r.method: r for r in compare_means(stream, cfg)}
     ratio = rows["karcher"].total_seconds / rows["icms"].total_seconds

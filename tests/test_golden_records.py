@@ -11,11 +11,12 @@ Regenerate the file only for a change that is meant to alter the numbers:
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from driftalign import DriftParams, PipelineConfig, generate_drift_stream, run_experiment
 from driftalign.classifiers import KINDS
-from driftalign.experiments import VARIANTS
+from driftalign.pipeline import VARIANTS
 
 GOLDEN = Path(__file__).parent / "data" / "golden_records.json"
 DIST_TOL = 1e-12
@@ -39,7 +40,7 @@ def golden_runs() -> dict:
             )
             mode = "adaptive" if adaptive else "frozen"
             for variant in VARIANTS:
-                report = run_experiment(stream, cfg, variant)
+                report = run_experiment(stream, replace(cfg, variant=variant))
                 runs[f"{variant}/{kind}/{mode}"] = [
                     [r.index, r.accuracy, r.dist_source_mean, r.dist_mean_step]
                     for r in report.records

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from driftalign import (
     RankDeficient,
     Stream,
     StreamBatch,
-    TransformMatrix,
     apply_transform,
     average_accuracy,
     classify,
@@ -25,7 +26,6 @@ from driftalign import (
     pca_subspace,
     predict_next,
     process_batch,
-    recursive_feedback,
     run_experiment,
 )
 from driftalign.experiments import config_for_variant
@@ -254,6 +254,11 @@ class TestInitPipeline:
         with pytest.raises(ValueError, match="one entry per feature row"):
             init_pipeline(x, y[:-1], PipelineConfig(subspace_dim=3))
 
+    def test_one_dimensional_source_rejected(self, rng):
+        x, y = gaussian_source(rng)
+        with pytest.raises(ValueError, match="must be 2-D"):
+            init_pipeline(x[:, 0], y, PipelineConfig(subspace_dim=3))
+
     def test_deterministic_for_identical_inputs(self, rng):
         x, y = gaussian_source(rng)
         cfg = PipelineConfig(subspace_dim=3, seed=9)
@@ -261,31 +266,6 @@ class TestInitPipeline:
         b = init_pipeline(x, y, cfg)
         assert np.array_equal(a.source_subspace.basis, b.source_subspace.basis)
         assert np.array_equal(a.classifier.centroids, b.classifier.centroids)
-
-
-class TestRecursiveFeedback:
-    def test_identity_transform_is_noop(self, rng):
-        batch = StreamBatch(features=rng.standard_normal((4, 6)))
-        out = recursive_feedback(batch, TransformMatrix.identity(6))
-        assert np.array_equal(out.features, batch.features)
-
-    def test_zero_row_stays_zero(self, rng):
-        features = rng.standard_normal((3, 6))
-        features[1] = 0.0
-        m = rng.standard_normal((6, 6))
-        out = recursive_feedback(StreamBatch(features=features), TransformMatrix(m + m.T))
-        assert np.abs(out.features[1]).max() == 0.0
-
-    def test_composition_associativity(self, rng):
-        features = rng.standard_normal((5, 6))
-        m1 = rng.standard_normal((6, 6))
-        m2 = rng.standard_normal((6, 6))
-        g1, g2 = TransformMatrix(m1 + m1.T), TransformMatrix(m2 + m2.T)
-        stepwise = apply_transform(
-            recursive_feedback(StreamBatch(features=features), g1).features, g2
-        )
-        direct = features @ (g1.g @ g2.g)
-        assert np.abs(stepwise - direct).max() < 1e-10
 
 
 class TestProcessBatch:
@@ -430,7 +410,7 @@ class TestProcessBatch:
             for _ in range(7)
         )
         stream = Stream(source_x=x, source_y=y, batches=batches, params={})
-        records = run_experiment(stream, cfg, "icms").records
+        records = run_experiment(stream, replace(cfg, variant="icms")).records
         assert [record.index for record in records] == list(range(1, 8))
         for record in records:
             assert np.isfinite(record.dist_source_mean)
@@ -561,7 +541,7 @@ class TestProcessBatch:
         assert state.batch_index == 2 and state.record.index == 2
 
         stream = Stream(source_x=x, source_y=y, batches=batches, params={})
-        report = run_experiment(stream, cfg, "icms")
+        report = run_experiment(stream, replace(cfg, variant="icms"))
         assert report.summary["skipped_batches"] == 1
         assert report.summary["batches"] == 2
 
@@ -578,7 +558,7 @@ class TestProcessBatch:
             )
         )
         cfg = PipelineConfig(subspace_dim=5, batch_size=20, seed=11)
-        plain = run_experiment(stream, cfg, "karcher").records
+        plain = run_experiment(stream, replace(cfg, variant="karcher")).records
         pca = pipeline.pca_subspace
         rotations = np.random.default_rng(11)
 
@@ -587,7 +567,7 @@ class TestProcessBatch:
             return orthonormalize(pca(x, k).basis @ q)
 
         monkeypatch.setattr(pipeline, "pca_subspace", rotated_pca)
-        rotated = run_experiment(stream, cfg, "karcher").records
+        rotated = run_experiment(stream, replace(cfg, variant="karcher")).records
         assert [r.accuracy for r in rotated] == [r.accuracy for r in plain]
         for a, b in zip(rotated, plain):
             assert abs(a.dist_source_mean - b.dist_source_mean) < 1e-12

@@ -306,6 +306,21 @@ class TestApplyTransform:
         with pytest.raises(DimensionMismatch):
             apply_transform(rng.standard_normal((3, 5)), TransformMatrix.identity(6))
 
+    def test_zero_row_stays_zero(self, rng):
+        x = rng.standard_normal((3, 6))
+        x[1] = 0.0
+        m = rng.standard_normal((6, 6))
+        assert np.abs(apply_transform(x, TransformMatrix(m + m.T))[1]).max() == 0.0
+
+    def test_composition_associativity(self, rng):
+        x = rng.standard_normal((5, 6))
+        m1 = rng.standard_normal((6, 6))
+        m2 = rng.standard_normal((6, 6))
+        g1, g2 = TransformMatrix(m1 + m1.T), TransformMatrix(m2 + m2.T)
+        stepwise = apply_transform(apply_transform(x, g1), g2)
+        direct = x @ (g1.g @ g2.g)
+        assert np.abs(stepwise - direct).max() < 1e-10
+
 
 class TestTransformMatrix:
     def test_rejects_asymmetric(self, rng):
