@@ -50,7 +50,6 @@ from .grassmann import (
     geodesic_point,
     log_map,
     orthonormalize,
-    principal_angles,
     principal_decomposition,
 )
 from .means import (
@@ -60,9 +59,7 @@ from .means import (
     incremental_average_transform,
     init_mean,
     karcher_mean,
-    karcher_residual,
     perturbed_subspace,
-    random_subspace,
 )
 from .pipeline import (
     BatchRecord,

@@ -1,8 +1,10 @@
 """Command-line front end: run | sweep | compare-means | generate.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-All flags can also come from a flat key=value config file via --config;
-explicit command-line flags win over file values.
+Each subcommand accepts only the flags it reads (``COMMANDS``). They can
+also come from a flat key=value config file via --config, whose keys are
+checked against the same flags; explicit command-line flags win over file
+values.
 """
 
 from __future__ import annotations
@@ -16,20 +18,85 @@ from pathlib import Path
 from .errors import BadParameter, CsvParseError, DriftAlignError, LabelOutOfRange
 from .pipeline import VARIANTS, PipelineConfig
 from .experiments import compare_means, run_experiment, sweep
-from .streams import (
-    DRIFT_KINDS,
-    DatasetSpec,
-    DriftParams,
-    Stream,
-    generate_drift_stream,
-    load_csv_stream,
-    write_csv_stream,
-)
+from .streams import DRIFT_KINDS, stream_from_params, write_csv_stream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+
+# Every flag, with its argparse keywords.
+_FLAGS = {
+    "--config": dict(help="flat key=value config file"),
+    "--seed": dict(type=int, default=0),
+    "--output": dict(help="report JSON path (default: stdout); "
+                          "for generate, the CSV path (required)"),
+    "--data": dict(help="CSV stream path (omit to use --generate)"),
+    "--feature-dim": dict(type=int),
+    "--classes": dict(type=int, default=2),
+    "--source-fraction": dict(type=float, default=0.1),
+    "--header": dict(action="store_true", help="CSV has one header line"),
+    "--generate": dict(choices=DRIFT_KINDS,
+                       help="synthesize a stream of this drift kind"),
+    "--batches": dict(type=int, default=100),
+    "--drift-rate": dict(type=float, default=0.0),
+    "--noise": dict(type=float, default=0.0),
+    "--signal-dim": dict(type=int, default=5),
+    "--source-size": dict(type=int, default=200),
+    "--class-sep": dict(type=float, default=12.0,
+                        help="centroid scale of the synthetic classes"),
+    "--batch-size": dict(type=int, default=2),
+    "--subspace-dim": dict(type=int, help="default: d/2 capped at 100"),
+    "--variant": dict(default="icms", choices=sorted(VARIANTS)),
+    "--classifier": dict(default="nearest-class-mean",
+                         choices=["nearest-class-mean", "linear-margin"]),
+    "--adaptive": dict(action="store_true"),
+    "--blend": dict(type=float, default=0.5),
+    "--update-rate": dict(type=float, default=0.1),
+    "--csv": dict(help="also write a flat per-batch CSV here"),
+    "--k-values": dict(default="", help="comma-separated subspace dims"),
+    "--batch-sizes": dict(default="", help="comma-separated batch sizes"),
+}
+
+_DATA = (
+    "--data", "--feature-dim", "--classes", "--source-fraction", "--header",
+    "--generate", "--batches", "--drift-rate", "--noise", "--signal-dim",
+    "--source-size", "--class-sep",
+)
+_CLASSIFIER = ("--classifier", "--adaptive", "--update-rate")
+
+# Each subcommand's help line and the flags it reads; it accepts no other.
+# sweep takes its subspace dims and batch sizes from its grid, and
+# compare-means runs its own three variants, none of which predicts.
+COMMANDS = {
+    "run": ("run one variant over a stream", (
+        "--config", "--seed", "--output", *_DATA, "--batch-size",
+        "--subspace-dim", "--variant", "--blend", *_CLASSIFIER, "--csv",
+    )),
+    "sweep": ("grid over subspace dims and batch sizes", (
+        "--config", "--seed", "--output", *_DATA, "--variant", "--blend",
+        *_CLASSIFIER, "--k-values", "--batch-sizes",
+    )),
+    "compare-means": ("compare mean-computation methods", (
+        "--config", "--seed", "--output", *_DATA, "--batch-size",
+        "--subspace-dim", *_CLASSIFIER,
+    )),
+    "generate": ("write a stream to CSV", (
+        "--config", "--seed", "--output", *_DATA, "--batch-size",
+    )),
+}
+
+# The PipelineConfig field of each flag that sets one.
+_CONFIG_FIELDS = {
+    "subspace_dim": "subspace_dim",
+    "batch_size": "batch_size",
+    "variant": "variant",
+    "adaptive": "adaptive_classifier",
+    "blend": "blend",
+    "classifier": "classifier_kind",
+    "update_rate": "update_rate",
+    "seed": "seed",
+}
 
 
 class UsageError(Exception):
@@ -58,56 +125,10 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="driftalign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: _Parser) -> None:
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", help="report JSON path")
-        data = p.add_argument_group("data")
-        data.add_argument("--data", help="CSV stream path (omit to use --generate)")
-        data.add_argument("--feature-dim", type=int)
-        data.add_argument("--classes", type=int, default=2)
-        data.add_argument("--source-fraction", type=float, default=0.1)
-        data.add_argument("--header", action="store_true",
-                          help="CSV has one header line")
-        data.add_argument("--generate", choices=DRIFT_KINDS,
-                          help="synthesize a stream of this drift kind")
-        data.add_argument("--batches", type=int, default=100)
-        data.add_argument("--drift-rate", type=float, default=0.0)
-        data.add_argument("--noise", type=float, default=0.0)
-        data.add_argument("--signal-dim", type=int, default=5)
-        data.add_argument("--source-size", type=int, default=200)
-        data.add_argument("--class-sep", type=float, default=12.0,
-                          help="centroid scale of the synthetic classes")
-        pipe = p.add_argument_group("pipeline")
-        pipe.add_argument("--batch-size", type=int, default=2)
-        pipe.add_argument("--subspace-dim", type=int,
-                          help="default: d/2 capped at 100")
-        pipe.add_argument("--variant", default="icms", choices=sorted(VARIANTS))
-        pipe.add_argument("--classifier", default="nearest-class-mean",
-                          choices=["nearest-class-mean", "linear-margin"])
-        pipe.add_argument("--adaptive", action="store_true")
-        pipe.add_argument("--blend", type=float, default=0.5)
-        pipe.add_argument("--update-rate", type=float, default=0.1)
-
-    run = sub.add_parser("run", help="run one variant over a stream")
-    add_common(run)
-    run.add_argument("--csv", help="also write a flat per-batch CSV here")
-
-    sw = sub.add_parser("sweep", help="grid over subspace dims and batch sizes")
-    add_common(sw)
-    sw.add_argument("--k-values", default="",
-                    help="comma-separated subspace dims")
-    sw.add_argument("--batch-sizes", default="",
-                    help="comma-separated batch sizes")
-
-    cm = sub.add_parser("compare-means", help="compare mean-computation methods")
-    add_common(cm)
-
-    gen = sub.add_parser("generate", help="write a synthetic stream to CSV")
-    add_common(gen)
-    gen.add_argument("--out", required=True, help="CSV output path")
-
+    for name, (help_line, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag in flags:
+            command.add_argument(flag, **_FLAGS[flag])
     return parser, sub.choices
 
 
@@ -132,25 +153,29 @@ def _config_value(action: argparse.Action, key: str, raw: str):
     return value
 
 
-def _apply_config_file(
+def _parse_args(
     parser: _Parser, commands: dict[str, _Parser], argv: list[str]
 ) -> argparse.Namespace:
-    # A first parse finds --config; the file's values become the
-    # subcommand's defaults, and a second parse lets every flag on the
-    # command line, in full or abbreviated form, override them.
+    # A first parse finds the subcommand and --config; the file's values
+    # become the subcommand's defaults, and a second parse lets every flag
+    # on the command line, in full or abbreviated form, override them.
     args = parser.parse_args(argv)
-    if not getattr(args, "config", None):
+    own = COMMANDS[args.command][1]
+    for token in argv:
+        # Refused by its full name, not read as an abbreviation of a flag
+        # this subcommand takes (sweep's --batch-sizes for --batch-size).
+        flag = token.split("=", 1)[0]
+        if flag in _FLAGS and flag not in own:
+            raise UsageError(f"{args.command} takes no {flag}")
+    if not args.config:
         return args
     file_values = _read_config_file(args.config)
-    actions = {
-        action.dest: action
-        for command in commands.values()
-        for action in command._actions
-    }
+    command = commands[args.command]
+    actions = {action.dest: action for action in command._actions}
     unknown = set(file_values) - set(actions)
     if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    commands[args.command].set_defaults(
+        raise UsageError(f"unknown {args.command} config keys: {sorted(unknown)}")
+    command.set_defaults(
         **{
             key: _config_value(actions[key], key, raw)
             for key, raw in file_values.items()
@@ -159,50 +184,58 @@ def _apply_config_file(
     return parser.parse_args(argv)
 
 
-def _load_stream(args: argparse.Namespace) -> Stream:
+def _stream_params(args: argparse.Namespace) -> dict:
+    """The data flags as the stream parameters that reports echo.
+
+    sweep has no --batch-size; each of its cells sets its own.
+    """
+    if args.data and args.generate:
+        raise UsageError("give either --data or --generate, not both")
+    batch = {"batch_size": args.batch_size} if "batch_size" in args else {}
     if args.data:
         if args.feature_dim is None:
             raise UsageError("--feature-dim is required with --data")
-        spec = DatasetSpec(
-            path=args.data,
-            feature_dim=args.feature_dim,
-            n_classes=args.classes,
-            source_fraction=args.source_fraction,
-            has_header=args.header,
-        )
-        return load_csv_stream(args.data, spec, args.batch_size)
+        return {
+            "kind": "csv",
+            "path": args.data,
+            "feature_dim": args.feature_dim,
+            "n_classes": args.classes,
+            "source_fraction": args.source_fraction,
+            "has_header": args.header,
+            **batch,
+        }
     if args.generate:
-        params = DriftParams(
-            seed=args.seed,
-            feature_dim=args.feature_dim or 30,
-            n_classes=args.classes,
-            n_batches=args.batches,
-            batch_size=args.batch_size,
-            drift_kind=args.generate,
-            drift_rate=args.drift_rate,
-            noise=args.noise,
-            signal_dim=args.signal_dim,
-            class_sep=args.class_sep,
-            n_source=args.source_size,
-        )
-        return generate_drift_stream(params)
+        return {
+            "kind": "synthetic",
+            "seed": args.seed,
+            "feature_dim": args.feature_dim or 30,
+            "n_classes": args.classes,
+            "n_batches": args.batches,
+            **batch,
+            "drift_kind": args.generate,
+            "drift_rate": args.drift_rate,
+            "noise": args.noise,
+            "signal_dim": args.signal_dim,
+            "class_sep": args.class_sep,
+            "n_source": args.source_size,
+        }
     raise UsageError("either --data or --generate is required")
 
 
 def _pipeline_config(args: argparse.Namespace, feature_dim: int) -> PipelineConfig:
-    k = args.subspace_dim
-    if k is None:
-        k = min(feature_dim // 2, 100)
-    return PipelineConfig(
-        subspace_dim=k,
-        batch_size=args.batch_size,
-        variant=args.variant,
-        adaptive_classifier=args.adaptive,
-        blend=args.blend,
-        classifier_kind=args.classifier,
-        update_rate=args.update_rate,
-        seed=args.seed,
-    )
+    """The config from the pipeline flags the subcommand takes.
+
+    A field without a flag keeps its default; ``subspace_dim``'s default is
+    d/2 capped at 100.
+    """
+    values = {
+        field: getattr(args, dest)
+        for dest, field in _CONFIG_FIELDS.items()
+        if dest in args
+    }
+    if values.get("subspace_dim") is None:
+        values["subspace_dim"] = min(feature_dim // 2, 100)
+    return PipelineConfig(**values)
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -226,16 +259,25 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _build_parser()
     try:
-        args = _apply_config_file(parser, commands, argv)
+        args = _parse_args(parser, commands, argv)
+        params = _stream_params(args)
         if args.command == "generate":
-            stream = _load_stream(args)
-            write_csv_stream(stream, args.out)
-            print(f"wrote {args.out}")
+            if not args.output:
+                raise UsageError("--output is required")
+            write_csv_stream(stream_from_params(params), args.output)
+            print(f"wrote {args.output}")
             return EXIT_OK
 
-        stream = _load_stream(args)
-        cfg = _pipeline_config(args, stream.feature_dim)
+        if args.command == "sweep":
+            k_values = _parse_int_list(args.k_values, "--k-values")
+            batch_sizes = _parse_int_list(args.batch_sizes, "--batch-sizes")
+            cfg = _pipeline_config(args, params["feature_dim"])
+            cells = sweep(params, cfg, k_values, batch_sizes)
+            _emit({"grid": [asdict(c) for c in cells]}, args.output)
+            return EXIT_OK
 
+        stream = stream_from_params(params)
+        cfg = _pipeline_config(args, stream.feature_dim)
         if args.command == "run":
             report = run_experiment(
                 stream, cfg, output_path=args.output, csv_path=args.csv
@@ -246,19 +288,9 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"A(B) = {report.summary['average_accuracy']}")
             return EXIT_OK
 
-        if args.command == "sweep":
-            k_values = _parse_int_list(args.k_values, "--k-values")
-            batch_sizes = _parse_int_list(args.batch_sizes, "--batch-sizes")
-            cells = sweep(stream.params, cfg, k_values, batch_sizes)
-            _emit({"grid": [asdict(c) for c in cells]}, args.output)
-            return EXIT_OK
-
-        if args.command == "compare-means":
-            rows = compare_means(stream, cfg)
-            _emit({"rows": [asdict(r) for r in rows]}, args.output)
-            return EXIT_OK
-
-        raise UsageError(f"unknown command {args.command!r}")
+        rows = compare_means(stream, cfg)
+        _emit({"rows": [asdict(r) for r in rows]}, args.output)
+        return EXIT_OK
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -144,18 +144,19 @@ def sweep(
     """Grid of runs of ``base_cfg.variant`` over subspace dimension and batch size.
 
     Each cell is independently seeded from the base seed and rebuilds the
-    stream at its own batch size. A failing cell is marked with its error
-    and the sweep continues.
+    stream at its own batch size. A stream that cannot be built (a bad
+    file or parameter) raises; a cell whose run fails is marked with its
+    error and the sweep continues.
     """
     cells = []
     for i, k in enumerate(k_values):
         for j, batch_size in enumerate(batch_sizes):
             cell_seed = base_cfg.seed + 1000 * i + j
+            params = dict(stream_params)
+            if params.get("kind") == "synthetic":
+                params["seed"] = cell_seed
+            stream = stream_from_params(params, batch_size=batch_size)
             try:
-                params = dict(stream_params)
-                if params.get("kind") == "synthetic":
-                    params["seed"] = cell_seed
-                stream = stream_from_params(params, batch_size=batch_size)
                 cfg = replace(
                     base_cfg, subspace_dim=k, batch_size=batch_size, seed=cell_seed
                 )

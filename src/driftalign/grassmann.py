@@ -87,10 +87,6 @@ class Subspace:
     def sub_dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        """The d x d orthogonal projector onto the subspace (basis-free)."""
-        return self.basis @ self.basis.T
-
 
 @dataclass(frozen=True, eq=False)
 class PrincipalDecomposition:
@@ -177,22 +173,6 @@ def principal_decomposition(p1: Subspace, p2: Subspace) -> PrincipalDecompositio
     good = sin_sv > _DEGENERATE_SIN
     h[:, good] = c[:, good] / sin_sv[good]
     return PrincipalDecomposition(u1=u1, v=v, theta=theta, h=h)
-
-
-def principal_angles(p1: Subspace, p2: Subspace) -> np.ndarray:
-    """Principal angles in [0, pi/2], nondecreasing.
-
-    Small angles come from the sine route (singular values of the
-    projection residual) and large ones from the cosine route, so the
-    result is accurate across the whole range.
-    """
-    _check_same_manifold(p1, p2)
-    m = p1.basis.T @ p2.basis
-    cos_sv = np.clip(np.linalg.svd(m, compute_uv=False), 0.0, 1.0)
-    residual = p2.basis - p1.basis @ m
-    sin_sv = np.clip(np.linalg.svd(residual, compute_uv=False), 0.0, 1.0)
-    # cos descending and sin ascending both order theta ascending.
-    return np.arctan2(sin_sv[::-1], cos_sv)
 
 
 def geodesic_distance(p1: Subspace, p2: Subspace) -> float:

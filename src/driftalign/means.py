@@ -21,7 +21,6 @@ from .grassmann import (
     geodesic,
     geodesic_point,
     log_map,
-    orthonormalize,
 )
 from .transforms import TransformMatrix
 
@@ -122,18 +121,6 @@ def karcher_mean(
     return KarcherResult(subspace=mu, iterations=iteration, residual=residual)
 
 
-def karcher_residual(
-    mean: Subspace, subspaces: list[Subspace] | tuple[Subspace, ...]
-) -> float:
-    """Norm of the Karcher first-order condition ||sum_i log_mean(P_i)||_F.
-
-    Zero means ``mean`` is exactly stationary for the sum of squared
-    geodesic distances.
-    """
-    total = sum(log_map(mean, p) for p in subspaces)
-    return float(np.linalg.norm(total))
-
-
 def incremental_average_transform(
     g_prev_avg: TransformMatrix | None, g_new: TransformMatrix, n: int
 ) -> TransformMatrix:
@@ -172,8 +159,3 @@ def perturbed_subspace(
     # Singular values of the tangent are the step angles; scaling the
     # Frobenius norm scales the geodesic distance exactly.
     return exp_map(base, tangent * (magnitude / norm))
-
-
-def random_subspace(d: int, k: int, rng: np.random.Generator) -> Subspace:
-    """Uniformly random point on G(k, d) (QR of a Gaussian matrix)."""
-    return orthonormalize(rng.standard_normal((d, k)))

@@ -125,6 +125,8 @@ def load_csv_stream(
     Parse failures, non-finite feature cells included, name the 1-based
     file row and column.
     """
+    if batch_size < 1:
+        raise BadParameter(f"batch size must be at least 1, got {batch_size}")
     path = Path(path)
     d = spec.feature_dim
     features: list[list[float]] = []

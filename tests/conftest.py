@@ -8,10 +8,46 @@ import numpy as np
 import pytest
 
 import driftalign
-from driftalign import Subspace, TransformMatrix, exp_map
+from driftalign import Subspace, TransformMatrix, exp_map, log_map, orthonormalize
 
-# The package's own generators, under the names the test files import.
-from driftalign import perturbed_subspace as perturbed, random_subspace
+# The package's own generator, under the name the test files import.
+from driftalign import perturbed_subspace as perturbed
+
+
+def random_subspace(d, k, rng):
+    """Uniformly random point on G(k, d) (QR of a Gaussian matrix)."""
+    return orthonormalize(rng.standard_normal((d, k)))
+
+
+def projector(s):
+    """The d x d orthogonal projector onto the subspace (basis-free)."""
+    return s.basis @ s.basis.T
+
+
+def principal_angles(p1, p2):
+    """Principal angles in [0, pi/2], nondecreasing.
+
+    Independent of the thin decomposition that ``geodesic_distance`` and
+    every geodesic read: small angles come from the sine route (singular
+    values of the projection residual) and large ones from the cosine
+    route, so the result is accurate across the whole range.
+    """
+    m = p1.basis.T @ p2.basis
+    cos_sv = np.clip(np.linalg.svd(m, compute_uv=False), 0.0, 1.0)
+    residual = p2.basis - p1.basis @ m
+    sin_sv = np.clip(np.linalg.svd(residual, compute_uv=False), 0.0, 1.0)
+    # cos descending and sin ascending both order theta ascending.
+    return np.arctan2(sin_sv[::-1], cos_sv)
+
+
+def karcher_residual(mean, subspaces):
+    """Norm of the Karcher first-order condition ||sum_i log_mean(P_i)||_F.
+
+    Zero means ``mean`` is exactly stationary for the sum of squared
+    geodesic distances.
+    """
+    total = sum(log_map(mean, p) for p in subspaces)
+    return float(np.linalg.norm(total))
 
 
 def line(angle):
@@ -58,7 +94,7 @@ def quadrature_transform(p_source, p_target, nodes):
     d = p_source.ambient_dim
     g = np.zeros((d, d))
     for w, t in zip(weights, ts):
-        g += (2.0 * w) * exp_map(p_source, t * velocity).projector()
+        g += (2.0 * w) * projector(exp_map(p_source, t * velocity))
     return TransformMatrix(0.5 * (g + g.T))
 
 

@@ -33,11 +33,9 @@ from driftalign import (
     init_mean,
     init_pipeline,
     karcher_mean,
-    karcher_residual,
     log_map,
     pca_subspace,
     predict_next,
-    principal_angles,
     principal_decomposition,
     process_batch,
     run_experiment,
@@ -45,7 +43,13 @@ from driftalign import (
 from driftalign.pipeline import _aligned_view
 from driftalign.transforms import _sandwich, cumulative_transform
 
-from conftest import perturbed, quadrature_transform, random_subspace
+from conftest import (
+    karcher_residual,
+    perturbed,
+    principal_angles,
+    quadrature_transform,
+    random_subspace,
+)
 
 
 def verdict(number, ok, detail):

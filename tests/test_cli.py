@@ -1,8 +1,14 @@
+import itertools
 import json
+import re
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+from driftalign import cli
 from driftalign.cli import main
 from driftalign.experiments import MeanComparisonRow, SweepCell
 
@@ -158,6 +164,28 @@ class TestExitCodes:
                        "1.0,2.0,0\n1.0,2.0,1\n")
         assert run_cli("run", "--data", str(bad), "--feature-dim", "2") == 2
 
+    def test_batch_size_below_one_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "stream.csv"
+        path.write_text("".join(f"{i}.0,{i % 3}.5,{i % 2}\n" for i in range(20)))
+        for size in ("0", "-5"):
+            code = run_cli(
+                "run", "--data", str(path), "--feature-dim", "2",
+                "--batch-size", size,
+            )
+            assert code == 2
+            assert f"got {size}" in capsys.readouterr().err
+
+    def test_data_and_generate_together_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "stream.csv"
+        path.write_text("1.0,2.0,0\n")
+        flags = ("--data", str(path), "--feature-dim", "2")
+        assert run_cli("run", *flags, "--generate", "stationary") == 1
+        assert "not both" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("generate=stationary\n")
+        assert run_cli("run", "--config", str(cfg), *flags) == 1
+        assert "not both" in capsys.readouterr().err
+
     def test_numerical_error_rank_deficient(self):
         # k = 8 cannot come out of 6-row mini-batches.
         code = run_cli(
@@ -181,7 +209,7 @@ class TestSweepCommand:
         out = tmp_path / "grid.json"
         code = run_cli(
             "sweep", "--generate", "stationary", "--feature-dim", "20",
-            "--batches", "6", "--batch-size", "10", "--signal-dim", "4",
+            "--batches", "6", "--signal-dim", "4",
             "--source-size", "60", "--seed", "3",
             "--k-values", "3,4", "--batch-sizes", "10,12",
             "--output", str(out),
@@ -193,12 +221,20 @@ class TestSweepCommand:
         keys = [f.name for f in fields(SweepCell)]
         assert all(list(cell) == keys for cell in grid)
 
+    def test_malformed_csv_is_data_error(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1.0,2.0,0\n1.0,zap,1\n" * 10)
+        code = run_cli(
+            "sweep", "--data", str(bad), "--feature-dim", "2",
+            "--k-values", "1", "--batch-sizes", "4",
+        )
+        assert code == 2
+
     def test_missing_grid_flags_is_usage_error(self):
         assert (
             run_cli(
                 "sweep", "--generate", "stationary", "--feature-dim", "20",
-                "--batches", "4", "--batch-size", "10", "--signal-dim", "4",
-                "--source-size", "60",
+                "--batches", "4", "--signal-dim", "4", "--source-size", "60",
             )
             == 1
         )
@@ -218,3 +254,208 @@ class TestCompareMeansCommand:
         assert all(np.isfinite(row["total_seconds"]) for row in payload["rows"])
         keys = [f.name for f in fields(MeanComparisonRow)]
         assert all(list(row) == keys for row in payload["rows"])
+
+
+# The table-driven flag check. A small synthetic stream, hard enough that
+# accuracies sit near 0.65 and so move with any setting that is read, or a
+# CSV of another draw of it, feeds every subcommand; "{csv}" stands for
+# that file's path.
+SYNTH = [
+    "--generate", "rotation", "--feature-dim", "12", "--batches", "10",
+    "--signal-dim", "3", "--source-size", "80", "--drift-rate", "0.1",
+    "--class-sep", "8",
+]
+CSV = ["--data", "{csv}", "--feature-dim", "12"]
+
+
+def changed(*tokens, context=SYNTH):
+    """A (without, with) pair of command-line tails differing in ``tokens``."""
+    return list(context), [*context, *tokens]
+
+
+DATA_CASES = {
+    "--seed": changed("--seed", "1"),
+    "--data": (SYNTH, CSV),
+    "--feature-dim": changed("--feature-dim", "14"),
+    "--classes": changed("--classes", "3"),
+    "--source-fraction": changed("--source-fraction", "0.15", context=CSV),
+    "--header": changed("--header", context=CSV),
+    "--generate": changed("--generate", "mean-shift"),
+    "--batches": changed("--batches", "5"),
+    "--drift-rate": changed("--drift-rate", "0.2"),
+    "--noise": changed(
+        "--noise", "0.2", context=[*SYNTH, "--generate", "noisy-rotation"]
+    ),
+    "--signal-dim": changed("--signal-dim", "4"),
+    "--source-size": changed("--source-size", "50"),
+    "--class-sep": changed("--class-sep", "6"),
+}
+CLASSIFIER_CASES = {
+    "--classifier": changed("--classifier", "linear-margin"),
+    "--adaptive": changed("--adaptive"),
+    "--update-rate": changed("--update-rate", "0.5", context=[*SYNTH, "--adaptive"]),
+}
+VARIANT_CASES = {
+    "--variant": changed("--variant", "avg"),
+    "--blend": changed(
+        "--blend", "0.9", context=[*SYNTH, "--variant", "icms-pred"]
+    ),
+}
+
+# One case per subcommand: the flags every run of it shares, a pair of
+# command lines for each flag it takes (but --config), the flags it no
+# longer takes, and a config key that belongs to another subcommand.
+CLI_CASES = {
+    "run": dict(
+        base=["run", "--batch-size", "10", "--subspace-dim", "3"],
+        flags={
+            **DATA_CASES, **CLASSIFIER_CASES, **VARIANT_CASES,
+            "--batch-size": changed("--batch-size", "12"),
+            "--subspace-dim": changed("--subspace-dim", "2"),
+            "--output": changed("--output", "report.json"),
+            "--csv": changed("--csv", "batches.csv"),
+        },
+        dropped=[],
+        foreign_key="k-values=2",
+    ),
+    "sweep": dict(
+        base=["sweep", "--k-values", "3", "--batch-sizes", "10"],
+        flags={
+            **DATA_CASES, **CLASSIFIER_CASES, **VARIANT_CASES,
+            "--k-values": changed("--k-values", "2"),
+            "--batch-sizes": changed("--batch-sizes", "12"),
+            "--output": changed("--output", "grid.json"),
+        },
+        dropped=[["--subspace-dim", "3"], ["--batch-size", "24"]],
+        foreign_key="csv=batches.csv",
+    ),
+    "compare-means": dict(
+        base=["compare-means", "--batch-size", "10", "--subspace-dim", "3"],
+        flags={
+            **DATA_CASES, **CLASSIFIER_CASES,
+            "--batch-size": changed("--batch-size", "12"),
+            "--subspace-dim": changed("--subspace-dim", "2"),
+            "--output": changed("--output", "table.json"),
+        },
+        dropped=[["--variant", "icms"], ["--blend", "0.9"]],
+        foreign_key="variant=icms",
+    ),
+    "generate": dict(
+        base=["generate", "--batch-size", "10", "--output", "stream.csv"],
+        flags={
+            **DATA_CASES,
+            "--batch-size": changed("--batch-size", "12"),
+            "--output": changed("--output", "other.csv"),
+        },
+        dropped=[
+            ["--variant", "icms-fb"], ["--adaptive"], ["--blend", "0.9"],
+            ["--update-rate", "0.5"], ["--classifier", "linear-margin"],
+            ["--subspace-dim", "3"],
+        ],
+        foreign_key="adaptive=true",
+    ),
+}
+
+# Report keys that repeat a flag's value back, and wall-clock timings.
+ECHOED = {"config", "variant", "seed", "subspace_dim", "batch_size"}
+TIMINGS = {"elapsed_ms", "total_seconds", "mean_batch_ms", "p95_batch_ms"}
+
+
+def _computed(value):
+    if isinstance(value, dict):
+        return {
+            k: _computed(v) for k, v in value.items() if k not in ECHOED | TIMINGS
+        }
+    if isinstance(value, list):
+        return [_computed(v) for v in value]
+    return value
+
+
+def _normalized(text):
+    """Text output with echoed flag values and timings taken out."""
+    try:
+        return _computed(json.loads(text))
+    except json.JSONDecodeError:
+        pass
+    if text.startswith("batch,") and "elapsed_ms" in text.splitlines()[0]:
+        return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+    return text
+
+
+@pytest.fixture
+def cli_output(tmp_path, monkeypatch, capsys):
+    """Run a command line in a fresh directory; return what it produced.
+
+    That is the exit code, stdout and every file written, normalized.
+    """
+    csv = tmp_path / "input.csv"
+    generate = ["generate", "--output", str(csv), "--batch-size", "10", *SYNTH]
+    assert main([*generate, "--seed", "7"]) == 0
+    runs = itertools.count()
+
+    def output(argv):
+        work = tmp_path / f"run{next(runs)}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        code = main([token.replace("{csv}", str(csv)) for token in argv])
+        files = {
+            path.name: _normalized(path.read_text()) for path in work.iterdir()
+        }
+        return code, _normalized(capsys.readouterr().out), files
+
+    return output
+
+
+@pytest.mark.parametrize("command", sorted(CLI_CASES))
+class TestEveryFlagIsRead:
+    def test_every_flag_changes_the_output(self, command, cli_output):
+        case = CLI_CASES[command]
+        accepted = set(cli.COMMANDS[command][1]) - {"--config"}
+        assert set(case["flags"]) == accepted
+        base = case["base"]
+        reference = cli_output([*base, *SYNTH])
+        assert reference[0] == 0
+        assert cli_output([*base, *SYNTH]) == reference  # deterministic
+        unread = []
+        for flag, (without, with_flag) in case["flags"].items():
+            before = cli_output([*base, *without])
+            after = cli_output([*base, *with_flag])
+            assert before[0] == after[0] == 0, flag
+            if before == after:
+                unread.append(flag)
+        assert unread == []
+
+    def test_dropped_flags_are_usage_errors(self, command, cli_output):
+        case = CLI_CASES[command]
+        for tokens in case["dropped"]:
+            assert cli_output([*case["base"], *SYNTH, *tokens])[0] == 1, tokens
+
+    def test_config_key_of_another_subcommand_is_usage_error(
+        self, command, cli_output, tmp_path
+    ):
+        case = CLI_CASES[command]
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(case["foreign_key"] + "\n")
+        argv = [*case["base"], *SYNTH, "--config", str(cfg)]
+        assert cli_output(argv)[0] == 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """Every ``driftalign ...`` line of README's sh blocks, continuations joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("driftalign ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "generate", "run", "run", "sweep", "compare-means",
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from driftalign import (
+    BadParameter,
     ConfigError,
     CsvParseError,
     DatasetSpec,
@@ -219,6 +220,12 @@ class TestSweep:
         for cell in cells:
             assert cell.error.startswith("NoConvergence"), cell.error
             assert cell.average_accuracy is None
+
+    def test_stream_error_is_raised_not_marked(self):
+        # A batch size below 1 is a bad stream parameter, not a failed run.
+        stream = mild_drift_stream(n_batches=6)
+        with pytest.raises(BadParameter):
+            sweep(stream.params, base_config(), [4], [20, 0])
 
     def test_accuracy_peaks_at_planted_rank(self):
         stream = generate_drift_stream(

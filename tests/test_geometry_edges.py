@@ -31,11 +31,10 @@ from driftalign import (
     init_mean,
     log_map,
     predict_next,
-    principal_angles,
     principal_decomposition,
 )
 
-from conftest import line
+from conftest import line, principal_angles
 
 # Largest principal angle of a drawn pair: near zero, generic, and just
 # inside the cut locus.

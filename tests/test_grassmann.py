@@ -13,7 +13,6 @@ from driftalign import (
     geodesic_point,
     log_map,
     orthonormalize,
-    principal_angles,
     principal_decomposition,
 )
 
@@ -22,6 +21,8 @@ from conftest import (
     line,
     line_angle,
     perturbed,
+    principal_angles,
+    projector,
     random_subspace,
     textbook_log,
 )
@@ -44,7 +45,7 @@ class TestSubspace:
         s = orthonormalize(m)
         q, _ = np.linalg.qr(m)
         oracle = q[:, :5] @ q[:, :5].T
-        assert np.abs(s.projector() - oracle).max() < 1e-10
+        assert np.abs(projector(s) - oracle).max() < 1e-10
 
     def test_rank_deficient_rejected(self, rng):
         m = rng.standard_normal((10, 3))

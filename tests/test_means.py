@@ -14,12 +14,11 @@ from driftalign import (
     incremental_average_transform,
     init_mean,
     karcher_mean,
-    karcher_residual,
     log_map,
     perturbed_subspace,
 )
 
-from conftest import line, line_angle, perturbed, random_subspace
+from conftest import karcher_residual, line, line_angle, perturbed, random_subspace
 
 
 class TestIcmsUpdate:

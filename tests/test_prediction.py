@@ -11,11 +11,10 @@ from driftalign import (
     geodesic_distance,
     log_map,
     predict_next,
-    principal_angles,
     principal_decomposition,
 )
 
-from conftest import line, line_angle, perturbed, random_subspace
+from conftest import line, line_angle, perturbed, principal_angles, random_subspace
 
 
 def velocity(p_mean_prev, p_mean_cur):

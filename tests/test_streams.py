@@ -53,6 +53,20 @@ class TestLoadCsv:
         assert stream.source_x.shape[0] == 5
         assert len(stream.batches) == 6
 
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_batch_size_below_one_rejected(self, tmp_path, batch_size):
+        path = tmp_path / "stream.csv"
+        write_rows(path, simple_rows(25))
+        spec = DatasetSpec(path=path, feature_dim=3, n_classes=2)
+        with pytest.raises(BadParameter, match=f"got {batch_size}"):
+            load_csv_stream(path, spec, batch_size=batch_size)
+        params = {
+            "kind": "csv", "path": str(path), "feature_dim": 3, "n_classes": 2,
+            "source_fraction": 0.1, "has_header": False,
+        }
+        with pytest.raises(BadParameter, match=f"got {batch_size}"):
+            stream_from_params(params, batch_size=batch_size)
+
     def test_malformed_float_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         rows = simple_rows(10)
