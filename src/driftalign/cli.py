@@ -208,7 +208,7 @@ def _stream_params(args: argparse.Namespace) -> dict:
         return {
             "kind": "synthetic",
             "seed": args.seed,
-            "feature_dim": args.feature_dim or 30,
+            "feature_dim": 30 if args.feature_dim is None else args.feature_dim,
             "n_classes": args.classes,
             "n_batches": args.batches,
             **batch,

@@ -4,11 +4,11 @@ Each arriving mini-batch is (optionally) pre-aligned with the transform fed
 back from the previous step, reduced to a subspace, absorbed into the
 running mean, aligned to the source through the flow-integral transform,
 classified, and (optionally) used to adapt the classifier with its own
-pseudo-labels. ``process_batch`` runs that one sequence. The config's
-variant id picks, from the one ``VARIANTS`` table, the step function that
-advances the mean and builds the transform and which optional stages run.
-One pipeline instance owns its state exclusively; all state values are
-immutable, so distinct streams can run in parallel freely.
+pseudo-labels; ``process_batch`` runs that sequence, and the config's
+variant id picks its step and optional stages from ``VARIANTS``. Feedback
+keeps the mean in span(P_s, M_1): G = L C L^T maps rows into span(P_s) +
+span(M), so each batch's subspace and the mean's geodesic stay there.
+State values are immutable, so distinct streams can run in parallel.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ class PipelineConfig:
     mean absorbs it, which trades per-batch noise for mean lag under
     sustained drift; whether the paper applies the prediction in the
     feedback stage instead is left open by its abstract.
-    ``adaptive_classifier`` updates the classifier with every row of a
-    batch and its predicted label, ungated; ``source`` never adapts. The
-    update moves centroids, which the linear-margin kind does not read,
-    so it leaves that kind's predictions unchanged. No pipeline code reads
+    ``adaptive_classifier`` alone updates the classifier, in every variant
+    (``source`` then is the self-training control), with each batch's rows
+    and predicted labels. The update moves centroids, which linear-margin
+    does not read, so its predictions stay unchanged. No pipeline code reads
     ``batch_size`` or ``seed``: reports echo them, and ``sweep`` seeds its
     cells from them.
     """
@@ -328,8 +328,8 @@ class Stages:
 
     ``step(state, observed, cfg)`` advances the mean, builds the transform
     and returns the advanced state with the source-to-mean distance;
-    ``None`` runs the source classifier alone, with no adaptation. The
-    three flags switch the optional stages, which only the icms step has.
+    ``None`` classifies the raw rows with no alignment. The three flags
+    switch the optional stages, which only the icms step has.
     """
 
     step: Callable[..., tuple[PipelineState, float]] | None
@@ -372,8 +372,8 @@ def process_batch(
     Raises:
         DimensionMismatch: if the batch's feature dimension is not the
             source's.
-        RankDeficient: if the batch has at most k rows, too few to span a
-            k-dimensional subspace after centering.
+        RankDeficient: if a variant with a step gets a batch of at most k
+            rows, too few to span a k-dimensional subspace after centering.
     """
     if batch.features.shape[1] != state.source_subspace.ambient_dim:
         raise DimensionMismatch(
@@ -381,11 +381,6 @@ def process_batch(
             f"{state.source_subspace.ambient_dim}"
         )
     stages = VARIANTS[cfg.variant]
-    if stages.step is not None and batch.size <= cfg.subspace_dim:
-        raise RankDeficient(
-            f"{batch.size} rows give a centered scatter of rank at most "
-            f"{batch.size - 1} < k={cfg.subspace_dim}"
-        )
     started = time.perf_counter()
     n = state.batch_index + 1
     # x is the batch carried through the transforms in maps, in order.
@@ -393,6 +388,11 @@ def process_batch(
     if stages.step is None:
         advanced, dist_source, dist_step = state, 0.0, 0.0
     else:
+        if batch.size <= cfg.subspace_dim:
+            raise RankDeficient(
+                f"{batch.size} rows give a centered scatter of rank at most "
+                f"{batch.size - 1} < k={cfg.subspace_dim}"
+            )
         if stages.feedback:
             x = apply_transform(x, state.feedback_transform)
             maps = (state.feedback_transform,)
@@ -410,7 +410,7 @@ def process_batch(
         maps += (advanced.feedback_transform,)
     y_hat = classify(_aligned_view(state.classifier, maps), x)
     classifier = state.classifier
-    if stages.step is not None and cfg.adaptive_classifier:
+    if cfg.adaptive_classifier:
         # Pseudo-labels come from the aligned space; the raw-anchored
         # centroids are blended with raw batch rows so the stored model and
         # its per-batch aligned view stay in consistent coordinates.

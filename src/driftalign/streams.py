@@ -127,6 +127,10 @@ def load_csv_stream(
     """
     if batch_size < 1:
         raise BadParameter(f"batch size must be at least 1, got {batch_size}")
+    if not 0.0 < spec.source_fraction < 1.0:
+        raise BadParameter(
+            f"source fraction must be in (0, 1), got {spec.source_fraction}"
+        )
     path = Path(path)
     d = spec.feature_dim
     features: list[list[float]] = []
@@ -302,6 +306,10 @@ def generate_drift_stream(params: DriftParams) -> Stream:
         raise BadParameter("stream sizes must be positive")
     if 2 * p.signal_dim > p.feature_dim:
         raise BadParameter("signal_dim must be at most feature_dim / 2")
+    for name in ("drift_rate", "noise", "class_sep", "ambient_std", "target_offset"):
+        value = getattr(p, name)
+        if not math.isfinite(value):
+            raise BadParameter(f"{name} must be finite, got {value}")
     if p.drift_rate < 0.0 or p.noise < 0.0:
         raise BadParameter("drift_rate and noise must be nonnegative")
 
@@ -331,6 +339,8 @@ def generate_drift_stream(params: DriftParams) -> Stream:
     )
     if spread.shape != (ks,):
         raise BadParameter("signal_spread must have one entry per signal dim")
+    if not np.isfinite(spread).all():
+        raise BadParameter("signal_spread entries must be finite")
     directions = _class_directions(p.n_classes, ks)
 
     def sample(frame: np.ndarray, labels: np.ndarray, shift: np.ndarray | None):

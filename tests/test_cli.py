@@ -186,6 +186,32 @@ class TestExitCodes:
         assert run_cli("run", "--config", str(cfg), *flags) == 1
         assert "not both" in capsys.readouterr().err
 
+    def test_zero_feature_dim_is_data_error(self, tmp_path, capsys):
+        # 0 is a given value, not an absent flag: it is refused, not run at
+        # the default d=30.
+        flags = (
+            "--generate", "stationary", "--feature-dim", "0", "--batches", "3",
+            "--batch-size", "20", "--signal-dim", "2", "--source-size", "40",
+        )
+        assert run_cli("run", *flags, "--subspace-dim", "2") == 2
+        assert "stream sizes must be positive" in capsys.readouterr().err
+        output = tmp_path / "stream.csv"
+        assert run_cli("generate", *flags, "--output", str(output)) == 2
+        assert not output.exists()
+
+    def test_non_finite_stream_parameter_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "stream.csv"
+        path.write_text("".join(f"{i}.0,{i % 3}.5,{i % 2}\n" for i in range(20)))
+        synthetic = ("--feature-dim", "12", "--batches", "3", "--signal-dim", "3")
+        for argv in (
+            ("--generate", "rotation", *synthetic, "--drift-rate", "nan"),
+            ("--generate", "rotation", *synthetic, "--class-sep", "nan"),
+            ("--generate", "noisy-rotation", *synthetic, "--noise", "inf"),
+            ("--data", str(path), "--feature-dim", "2", "--source-fraction", "nan"),
+        ):
+            assert run_cli("run", *argv) == 2, argv
+            assert capsys.readouterr().err.startswith("data error:"), argv
+
     def test_numerical_error_rank_deficient(self):
         # k = 8 cannot come out of 6-row mini-batches.
         code = run_cli(

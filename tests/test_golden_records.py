@@ -8,6 +8,10 @@ subspace up to rounding, so a larger drift means the numbers changed).
 Regenerate the file only for a change that is meant to alter the numbers:
 
     PYTHONPATH=src python tests/test_golden_records.py
+
+It prints the run ids whose records differ from the file it overwrites,
+by the test's own comparison, and rewrites only those runs, so a
+regeneration states what it changed.
 """
 
 import json
@@ -48,22 +52,48 @@ def golden_runs() -> dict:
     return runs
 
 
+def records_differ(records, expected) -> bool:
+    """The test's comparison: indices and accuracies exact, distances to 1e-12."""
+    if [r[0] for r in records] != [r[0] for r in expected]:
+        return True
+    return any(
+        acc != acc0
+        or not abs(dist_source - dist_source0) <= DIST_TOL
+        or not abs(step - step0) <= DIST_TOL
+        for (_, acc, dist_source, step), (_, acc0, dist_source0, step0) in zip(
+            records, expected
+        )
+    )
+
+
+def differing_runs(runs: dict, golden: dict) -> list[str]:
+    """Run ids whose records differ, or that only one of the two holds."""
+    return sorted(
+        run_id
+        for run_id in runs.keys() | golden.keys()
+        if run_id not in runs
+        or run_id not in golden
+        or records_differ(runs[run_id], golden[run_id])
+    )
+
+
 def test_records_match_golden_file():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     runs = golden_runs()
     assert sorted(runs) == sorted(golden)
-    for run_id, records in runs.items():
-        expected = golden[run_id]
-        assert [r[0] for r in records] == [r[0] for r in expected], run_id
-        for (index, acc, dist_source, step), (_, acc0, dist_source0, step0) in zip(
-            records, expected
-        ):
-            assert acc == acc0, (run_id, index)
-            assert abs(dist_source - dist_source0) <= DIST_TOL, (run_id, index)
-            assert abs(step - step0) <= DIST_TOL, (run_id, index)
+    assert differing_runs(runs, golden) == []
 
 
 if __name__ == "__main__":
+    runs = golden_runs()
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    changed = differing_runs(runs, old)
+    # A run that still matches keeps its old records, last-digit rounding
+    # included, so the file's diff holds the changed runs only.
+    kept = {k: v if k in changed else old[k] for k, v in runs.items()}
     GOLDEN.parent.mkdir(exist_ok=True)
-    lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in golden_runs().items()]
+    lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in kept.items()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    print(f"{len(changed)} of {len(runs)} runs differ from the overwritten file")
+    for run_id in changed:
+        print(f"  {run_id}")

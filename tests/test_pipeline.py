@@ -27,6 +27,7 @@ from driftalign import (
     predict_next,
     process_batch,
     run_experiment,
+    update_classifier,
 )
 from driftalign.experiments import config_for_variant
 from driftalign.pipeline import VARIANTS, _aligned_view, _icms_step
@@ -588,20 +589,37 @@ class TestProcessBatch:
         _, _, new_state = process_batch(state, batch, cfg)
         assert not np.array_equal(new_state.classifier.centroids, state.classifier.centroids)
 
-    def test_source_variant_never_adapts(self, rng):
-        # process_batch owns the rule: even an adaptive config leaves the
-        # source classifier as it was trained.
+    def test_source_variant_adapts_only_when_asked(self, rng):
+        # adaptive_classifier alone gates the update. Adaptive, source is the
+        # self-training control: its centroids move toward its own
+        # pseudo-labelled raw rows. Frozen, it keeps the trained classifier.
         x, y = gaussian_source(rng)
-        cfg = PipelineConfig(
-            subspace_dim=3, variant="source", adaptive_classifier=True, update_rate=0.5
-        )
-        state = init_pipeline(x, y, cfg)
-        trained = state.classifier
-        for _ in range(5):
-            batch = StreamBatch(features=rng.standard_normal((30, 10)) + 2.0)
-            y_hat, _, state = process_batch(state, batch, cfg)
-            assert y_hat is not None
-            assert state.classifier is trained
+        batches = [
+            StreamBatch(features=rng.standard_normal((30, 10)) + 2.0) for _ in range(5)
+        ]
+        for adaptive in (False, True):
+            cfg = PipelineConfig(
+                subspace_dim=3, variant="source", adaptive_classifier=adaptive,
+                update_rate=0.5,
+            )
+            state = init_pipeline(x, y, cfg)
+            trained = state.classifier
+            for batch in batches:
+                y_hat, _, advanced = process_batch(state, batch, cfg)
+                assert y_hat is not None
+                if adaptive:
+                    expected = update_classifier(
+                        state.classifier, batch.features, y_hat, 0.5
+                    )
+                    assert np.array_equal(
+                        advanced.classifier.centroids, expected.centroids
+                    )
+                    assert not np.array_equal(
+                        advanced.classifier.centroids, state.classifier.centroids
+                    )
+                else:
+                    assert advanced.classifier is trained
+                state = advanced
 
 
 class TestAverageAccuracy:

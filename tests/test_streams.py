@@ -67,6 +67,16 @@ class TestLoadCsv:
         with pytest.raises(BadParameter, match=f"got {batch_size}"):
             stream_from_params(params, batch_size=batch_size)
 
+    @pytest.mark.parametrize("fraction", [float("nan"), 0.0, 1.0, -0.5, float("inf")])
+    def test_source_fraction_outside_unit_interval_rejected(self, tmp_path, fraction):
+        path = tmp_path / "stream.csv"
+        write_rows(path, simple_rows(25))
+        spec = DatasetSpec(
+            path=path, feature_dim=3, n_classes=2, source_fraction=fraction
+        )
+        with pytest.raises(BadParameter, match=r"in \(0, 1\)"):
+            load_csv_stream(path, spec, batch_size=2)
+
     def test_malformed_float_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         rows = simple_rows(10)
@@ -257,6 +267,26 @@ class TestGenerator:
         )
         base.update(bad)
         with pytest.raises(BadParameter):
+            generate_drift_stream(DriftParams(**base))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(drift_rate=float("nan")),
+            dict(drift_kind="noisy-rotation", noise=float("inf")),
+            dict(class_sep=float("nan")),
+            dict(ambient_std=float("inf")),
+            dict(target_offset=float("-inf")),
+            dict(signal_spread=(2.0, float("nan"), 1.2)),
+        ],
+    )
+    def test_non_finite_parameters(self, bad):
+        base = dict(
+            seed=0, feature_dim=12, n_classes=2, n_batches=4, batch_size=5,
+            drift_kind="rotation", signal_dim=3, signal_spread=(2.0, 1.5, 1.2),
+        )
+        base.update(bad)
+        with pytest.raises(BadParameter, match="finite"):
             generate_drift_stream(DriftParams(**base))
 
     def test_rebuild_from_params(self):
