@@ -12,50 +12,55 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .errors import BadParameter, CsvParseError, DriftAlignError, LabelOutOfRange
 from .pipeline import VARIANTS, PipelineConfig
 from .experiments import compare_means, run_experiment, sweep
-from .streams import DRIFT_KINDS, stream_from_params, write_csv_stream
+from .streams import (
+    DRIFT_KINDS, DatasetSpec, DriftParams, stream_from_params, write_csv_stream,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-# Every flag, with its argparse keywords.
+# Every flag, with its argparse keywords. A flag's dest is the dataclass
+# field it sets, in DriftParams or DatasetSpec (the stream), PipelineConfig
+# (the run) or both; a flag that is not given sets nothing, so the
+# dataclasses hold every default.
 _FLAGS = {
     "--config": dict(help="flat key=value config file"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=int),
     "--output": dict(help="report JSON path (default: stdout); "
                           "for generate, the CSV path (required)"),
-    "--data": dict(help="CSV stream path (omit to use --generate)"),
+    "--data": dict(dest="path", help="CSV stream path (omit to use --generate)"),
     "--feature-dim": dict(type=int),
-    "--classes": dict(type=int, default=2),
-    "--source-fraction": dict(type=float, default=0.1),
-    "--header": dict(action="store_true", help="CSV has one header line"),
-    "--generate": dict(choices=DRIFT_KINDS,
+    "--classes": dict(dest="n_classes", type=int),
+    "--source-fraction": dict(type=float),
+    "--header": dict(dest="has_header", action="store_true",
+                     help="CSV has one header line"),
+    "--generate": dict(dest="drift_kind", choices=DRIFT_KINDS,
                        help="synthesize a stream of this drift kind"),
-    "--batches": dict(type=int, default=100),
-    "--drift-rate": dict(type=float, default=0.0),
-    "--noise": dict(type=float, default=0.0),
-    "--signal-dim": dict(type=int, default=5),
-    "--source-size": dict(type=int, default=200),
-    "--class-sep": dict(type=float, default=12.0,
-                        help="centroid scale of the synthetic classes"),
-    "--batch-size": dict(type=int, default=2),
+    "--batches": dict(dest="n_batches", type=int),
+    "--drift-rate": dict(type=float),
+    "--noise": dict(type=float),
+    "--signal-dim": dict(type=int),
+    "--source-size": dict(dest="n_source", type=int),
+    "--class-sep": dict(type=float, help="centroid scale of the synthetic classes"),
+    "--batch-size": dict(type=int),
     "--subspace-dim": dict(type=int, help="default: d/2 capped at 100"),
-    "--variant": dict(default="icms", choices=sorted(VARIANTS)),
-    "--classifier": dict(default="nearest-class-mean",
+    "--variant": dict(choices=sorted(VARIANTS)),
+    "--classifier": dict(dest="classifier_kind",
                          choices=["nearest-class-mean", "linear-margin"]),
-    "--adaptive": dict(action="store_true"),
-    "--blend": dict(type=float, default=0.5),
-    "--update-rate": dict(type=float, default=0.1),
+    "--adaptive": dict(dest="adaptive_classifier", action="store_true"),
+    "--blend": dict(type=float),
+    "--update-rate": dict(type=float),
     "--csv": dict(help="also write a flat per-batch CSV here"),
-    "--k-values": dict(default="", help="comma-separated subspace dims"),
-    "--batch-sizes": dict(default="", help="comma-separated batch sizes"),
+    "--k-values": dict(help="comma-separated subspace dims"),
+    "--batch-sizes": dict(help="comma-separated batch sizes"),
 }
 
 _DATA = (
@@ -86,19 +91,6 @@ COMMANDS = {
     )),
 }
 
-# The PipelineConfig field of each flag that sets one.
-_CONFIG_FIELDS = {
-    "subspace_dim": "subspace_dim",
-    "batch_size": "batch_size",
-    "variant": "variant",
-    "adaptive": "adaptive_classifier",
-    "blend": "blend",
-    "classifier": "classifier_kind",
-    "update_rate": "update_rate",
-    "seed": "seed",
-}
-
-
 class UsageError(Exception):
     pass
 
@@ -117,7 +109,7 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"config line {line_number}: expected key=value")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        values[key.strip().replace("_", "-")] = value.strip()
     return values
 
 
@@ -126,7 +118,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="driftalign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, flags) in COMMANDS.items():
-        command = sub.add_parser(name, help=help_line)
+        command = sub.add_parser(
+            name, help=help_line, argument_default=argparse.SUPPRESS
+        )
         for flag in flags:
             command.add_argument(flag, **_FLAGS[flag])
     return parser, sub.choices
@@ -167,74 +161,45 @@ def _parse_args(
         flag = token.split("=", 1)[0]
         if flag in _FLAGS and flag not in own:
             raise UsageError(f"{args.command} takes no {flag}")
-    if not args.config:
+    if "config" not in args:
         return args
     file_values = _read_config_file(args.config)
     command = commands[args.command]
-    actions = {action.dest: action for action in command._actions}
+    # Keys are flag names; each value lands on its flag's dest.
+    actions = {flag[2:]: command._option_string_actions[flag] for flag in own}
     unknown = set(file_values) - set(actions)
     if unknown:
         raise UsageError(f"unknown {args.command} config keys: {sorted(unknown)}")
     command.set_defaults(
         **{
-            key: _config_value(actions[key], key, raw)
+            actions[key].dest: _config_value(actions[key], key, raw)
             for key, raw in file_values.items()
         }
     )
     return parser.parse_args(argv)
 
 
-def _stream_params(args: argparse.Namespace) -> dict:
-    """The data flags as the stream parameters that reports echo.
+def _given(args: argparse.Namespace, *specs: type) -> dict:
+    """The given flags whose dest is a field of one of the dataclasses."""
+    names = {f.name for spec in specs for f in fields(spec)}
+    return {key: value for key, value in vars(args).items() if key in names}
 
-    sweep has no --batch-size; each of its cells sets its own.
-    """
-    if args.data and args.generate:
+
+def _stream_params(args: argparse.Namespace) -> dict:
+    """The stream flags given, as ``stream_from_params`` reads them."""
+    params = _given(args, DriftParams, DatasetSpec)
+    if "path" in params and "drift_kind" in params:
         raise UsageError("give either --data or --generate, not both")
-    batch = {"batch_size": args.batch_size} if "batch_size" in args else {}
-    if args.data:
-        if args.feature_dim is None:
-            raise UsageError("--feature-dim is required with --data")
-        return {
-            "kind": "csv",
-            "path": args.data,
-            "feature_dim": args.feature_dim,
-            "n_classes": args.classes,
-            "source_fraction": args.source_fraction,
-            "has_header": args.header,
-            **batch,
-        }
-    if args.generate:
-        return {
-            "kind": "synthetic",
-            "seed": args.seed,
-            "feature_dim": 30 if args.feature_dim is None else args.feature_dim,
-            "n_classes": args.classes,
-            "n_batches": args.batches,
-            **batch,
-            "drift_kind": args.generate,
-            "drift_rate": args.drift_rate,
-            "noise": args.noise,
-            "signal_dim": args.signal_dim,
-            "class_sep": args.class_sep,
-            "n_source": args.source_size,
-        }
+    if "path" in params:
+        return {"kind": "csv", **params}
+    if "drift_kind" in params:
+        return {"kind": "synthetic", **params}
     raise UsageError("either --data or --generate is required")
 
 
-def _pipeline_config(args: argparse.Namespace, feature_dim: int) -> PipelineConfig:
-    """The config from the pipeline flags the subcommand takes.
-
-    A field without a flag keeps its default; ``subspace_dim``'s default is
-    d/2 capped at 100.
-    """
-    values = {
-        field: getattr(args, dest)
-        for dest, field in _CONFIG_FIELDS.items()
-        if dest in args
-    }
-    if values.get("subspace_dim") is None:
-        values["subspace_dim"] = min(feature_dim // 2, 100)
+def _pipeline_config(args: argparse.Namespace, subspace_dim: int) -> PipelineConfig:
+    """The config flags given, with ``subspace_dim`` unless --subspace-dim is."""
+    values = {"subspace_dim": subspace_dim, **_given(args, PipelineConfig)}
     return PipelineConfig(**values)
 
 
@@ -261,35 +226,38 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(parser, commands, argv)
         params = _stream_params(args)
+        output = getattr(args, "output", None)
         if args.command == "generate":
-            if not args.output:
+            if not output:
                 raise UsageError("--output is required")
-            write_csv_stream(stream_from_params(params), args.output)
-            print(f"wrote {args.output}")
+            write_csv_stream(stream_from_params(params), output)
+            print(f"wrote {output}")
             return EXIT_OK
 
         if args.command == "sweep":
-            k_values = _parse_int_list(args.k_values, "--k-values")
-            batch_sizes = _parse_int_list(args.batch_sizes, "--batch-sizes")
-            cfg = _pipeline_config(args, params["feature_dim"])
-            cells = sweep(params, cfg, k_values, batch_sizes)
-            _emit({"grid": [asdict(c) for c in cells]}, args.output)
+            k_values = _parse_int_list(getattr(args, "k_values", ""), "--k-values")
+            batch_sizes = _parse_int_list(
+                getattr(args, "batch_sizes", ""), "--batch-sizes"
+            )
+            # Each cell sets its own subspace dim; 1 is valid at every d.
+            cells = sweep(params, _pipeline_config(args, 1), k_values, batch_sizes)
+            _emit({"grid": [asdict(c) for c in cells]}, output)
             return EXIT_OK
 
         stream = stream_from_params(params)
-        cfg = _pipeline_config(args, stream.feature_dim)
+        cfg = _pipeline_config(args, min(stream.feature_dim // 2, 100))
         if args.command == "run":
             report = run_experiment(
-                stream, cfg, output_path=args.output, csv_path=args.csv
+                stream, cfg, output_path=output, csv_path=getattr(args, "csv", None)
             )
-            if not args.output:
+            if not output:
                 _emit(report.to_dict(), None)
             else:
                 print(f"A(B) = {report.summary['average_accuracy']}")
             return EXIT_OK
 
         rows = compare_means(stream, cfg)
-        _emit({"rows": [asdict(r) for r in rows]}, args.output)
+        _emit({"rows": [asdict(r) for r in rows]}, output)
         return EXIT_OK
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -206,6 +206,19 @@ def pca_subspace(x: np.ndarray, k: int) -> Subspace:
     return orthonormalize(vt[:k].T)
 
 
+def _annihilated(rows: np.ndarray, mapped: np.ndarray) -> bool:
+    """Whether a map left the centered rows below 1e-10 of their own norm.
+
+    Such rows lie outside the map's range, and what is left of them is
+    rounding noise that ``pca_subspace`` would take for a subspace. Rows
+    whose norm overflows (entries ~1e154 and up) are not judged.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.linalg.norm(rows - rows.mean(axis=0))
+        kept = np.linalg.norm(mapped - mapped.mean(axis=0))
+    return bool(kept < 1e-10 * raw < np.inf)
+
+
 def average_accuracy(per_batch: list[float] | tuple[float, ...] | np.ndarray) -> float:
     """Arithmetic mean of the per-mini-batch accuracies."""
     values = np.asarray(per_batch, dtype=float)
@@ -363,10 +376,11 @@ def process_batch(
     transform (the variant's step), classify, update an adaptive classifier.
 
     A degenerate batch aborts just this batch: a cut-locus failure anywhere
-    in the geometry, or numerically rank-deficient rows (a constant batch,
-    say). The batch index and the reason are logged, and (None, None,
-    unchanged state) is returned so that one degenerate batch cannot kill a
-    long stream. Other errors propagate, among them the shape errors that
+    in the geometry, numerically rank-deficient rows (a constant batch,
+    say), or rows that the fed-back transform maps to rounding noise. The
+    batch index and the reason are logged, and (None, None, unchanged
+    state) is returned so that one degenerate batch cannot kill a long
+    stream. Other errors propagate, among them the shape errors that
     every batch of the same shape would repeat.
 
     Raises:
@@ -397,6 +411,10 @@ def process_batch(
             x = apply_transform(x, state.feedback_transform)
             maps = (state.feedback_transform,)
         try:
+            if stages.feedback and _annihilated(batch.features, x):
+                raise RankDeficient(
+                    "the fed-back transform maps the centered rows to rounding noise"
+                )
             observed = pca_subspace(x, cfg.subspace_dim)
             advanced, dist_source = stages.step(state, observed, cfg)
         except CutLocusError as err:

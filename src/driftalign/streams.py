@@ -15,7 +15,7 @@ them, and the bases are built on first read.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -35,7 +35,7 @@ class DatasetSpec:
 
     path: str | Path
     feature_dim: int
-    n_classes: int
+    n_classes: int = 2
     source_fraction: float = 0.1
     has_header: bool = False
     total_rows: int | None = None
@@ -228,13 +228,13 @@ def write_csv_stream(stream: Stream, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class DriftParams:
-    """Full parameter set of one synthetic stream (echoed into reports)."""
+    """Every parameter of a synthetic stream, with its default (echoed into reports)."""
 
-    seed: int
-    feature_dim: int
-    n_classes: int
-    n_batches: int
-    batch_size: int
+    seed: int = 0
+    feature_dim: int = 30
+    n_classes: int = 2
+    n_batches: int = 100
+    batch_size: int = 2
     drift_kind: str = "stationary"
     drift_rate: float = 0.0
     noise: float = 0.0
@@ -295,7 +295,9 @@ def generate_drift_stream(params: DriftParams) -> Stream:
     orthogonal partner), the centroids translate, or the rotation is
     overlaid with per-batch subspace jitter of ``noise`` radians. The
     returned ground truth yields the clean and the jittered frame of
-    every batch, built when first read.
+    every batch, built when first read. A nonzero ``noise`` on any kind but
+    "noisy-rotation", or ``drift_rate`` on "stationary", is refused: the
+    kind never reads it.
     """
     p = params
     if p.drift_kind not in DRIFT_KINDS:
@@ -312,6 +314,14 @@ def generate_drift_stream(params: DriftParams) -> Stream:
             raise BadParameter(f"{name} must be finite, got {value}")
     if p.drift_rate < 0.0 or p.noise < 0.0:
         raise BadParameter("drift_rate and noise must be nonnegative")
+    # Zero is the echo of a parameter the kind never reads; anything else
+    # would be echoed as if it had shaped the stream.
+    if p.noise != 0.0 and p.drift_kind != "noisy-rotation":
+        raise BadParameter(f"drift kind {p.drift_kind!r} reads no noise, got {p.noise}")
+    if p.drift_rate != 0.0 and p.drift_kind == "stationary":
+        raise BadParameter(
+            f"drift kind 'stationary' reads no drift_rate, got {p.drift_rate}"
+        )
 
     rng = np.random.default_rng(p.seed)
     d, ks = p.feature_dim, p.signal_dim
@@ -403,24 +413,35 @@ def generate_drift_stream(params: DriftParams) -> Stream:
     )
 
 
+_KINDS = {"synthetic": DriftParams, "csv": DatasetSpec}
+
+
 def stream_from_params(params: dict, batch_size: int | None = None) -> Stream:
-    """Rebuild a stream from an echoed parameter dict (reports, sweeps)."""
+    """Build a stream from a parameter dict (the CLI's, or a report's echo).
+
+    ``kind`` picks the dataclass whose fields the other keys must be (a csv
+    stream also takes ``batch_size``); a field left out keeps its default.
+    An unknown kind or key, or a missing field without default, raises
+    BadParameter.
+    """
     params = dict(params)
     kind = params.pop("kind", None)
+    if kind not in _KINDS:
+        raise BadParameter(f"cannot rebuild a stream of kind {kind!r}")
     if batch_size is not None:
         params["batch_size"] = batch_size
+    schema = fields(_KINDS[kind])
+    unknown = sorted(set(params) - {f.name for f in schema} - {"batch_size"})
+    missing = [f.name for f in schema if f.default is MISSING and f.name not in params]
+    if unknown or missing:
+        raise BadParameter(
+            f"{kind} stream: unknown keys {unknown}, missing keys {missing}"
+        )
     if kind == "synthetic":
         params["signal_spread"] = tuple(params.get("signal_spread", ()))
         return generate_drift_stream(DriftParams(**params))
-    if kind == "csv":
-        spec = DatasetSpec(
-            path=params["path"],
-            feature_dim=params["feature_dim"],
-            n_classes=params["n_classes"],
-            source_fraction=params["source_fraction"],
-            has_header=params["has_header"],
-            # A file that has since grown or shrunk would shift the split.
-            total_rows=params.get("total_rows"),
-        )
-        return load_csv_stream(spec.path, spec, params["batch_size"])
-    raise BadParameter(f"cannot rebuild a stream of kind {kind!r}")
+    # A csv stream batches as a synthetic one does by default. An echoed
+    # total_rows refuses a file that has since grown or shrunk.
+    batch = params.pop("batch_size", DriftParams.batch_size)
+    spec = DatasetSpec(**params)
+    return load_csv_stream(spec.path, spec, batch)

@@ -212,6 +212,28 @@ class TestExitCodes:
             assert run_cli("run", *argv) == 2, argv
             assert capsys.readouterr().err.startswith("data error:"), argv
 
+    def test_parameter_the_stream_never_reads_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "stream.csv"
+        path.write_text("".join(f"{i}.0,{i % 3}.5,{i % 2}\n" for i in range(20)))
+        csv = ("--data", str(path), "--feature-dim", "2", "--batch-size", "4")
+        synthetic = ("--feature-dim", "12", "--batches", "3", "--signal-dim", "3",
+                     "--batch-size", "8")
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text("noise=0.3\n")
+        for argv, name in (
+            ((*csv, "--noise", "0.3"), "noise"),
+            ((*csv, "--seed", "3"), "seed"),
+            ((*csv, "--config", str(cfg)), "noise"),
+            (("--generate", "rotation", *synthetic, "--source-fraction", "0.2"),
+             "source_fraction"),
+            (("--generate", "stationary", *synthetic, "--drift-rate", "0.2"),
+             "drift_rate"),
+            (("--generate", "mean-shift", *synthetic, "--noise", "0.2"), "noise"),
+        ):
+            assert run_cli("run", *argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and name in err, argv
+
     def test_numerical_error_rank_deficient(self):
         # k = 8 cannot come out of 6-row mini-batches.
         code = run_cli(
@@ -255,6 +277,28 @@ class TestSweepCommand:
             "--k-values", "1", "--batch-sizes", "4",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("feature_dim", ["0", "1"])
+    def test_bad_stream_size_is_data_error(self, feature_dim, capsys):
+        # Every cell sets its own subspace dim, so the base config's cannot
+        # fail first and the stream's own check reports the size.
+        code = run_cli(
+            "sweep", "--generate", "stationary", "--feature-dim", feature_dim,
+            "--batches", "3", "--k-values", "2", "--batch-sizes", "20",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_zero_k_value_is_a_cell_error(self, capsys):
+        code = run_cli(
+            "sweep", "--generate", "stationary", "--feature-dim", "20",
+            "--batches", "3", "--signal-dim", "4", "--source-size", "60",
+            "--k-values", "0,2", "--batch-sizes", "20",
+        )
+        assert code == 0
+        grid = json.loads(capsys.readouterr().out)["grid"]
+        assert "subspace_dim must be positive" in grid[0]["error"]
+        assert grid[1]["error"] is None
 
     def test_missing_grid_flags_is_usage_error(self):
         assert (

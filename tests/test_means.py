@@ -8,6 +8,7 @@ from driftalign import (
     NoConvergence,
     Subspace,
     TransformMatrix,
+    geodesic,
     geodesic_distance,
     geodesic_point,
     icms_update,
@@ -101,6 +102,23 @@ class TestIcmsUpdate:
         early = np.mean(steps[8:29])    # n in [10, 30]
         late = np.mean(steps[178:199])  # n in [180, 200]
         assert early >= 5.0 * late
+
+    def test_mean_of_points_on_one_geodesic_is_the_mean_parameter(self, rng):
+        # The ICMS law: fed points of one geodesic whose angles all stay
+        # below pi/2, in any order, the running mean after n points is the
+        # geodesic at the mean of their n parameters. So under drift at a
+        # constant rate the mean trails the truth by half the arc travelled.
+        worst = 0.0
+        for i in range(20):
+            start = random_subspace(30, 1 + i % 7, rng)
+            flow = geodesic(start, perturbed(start, rng.uniform(0.3, 1.5), rng))
+            params = rng.uniform(0.0, 1.0, size=200)
+            state = init_mean(geodesic_point(flow, params[0]))
+            for n in range(2, params.size + 1):
+                state = icms_update(state, geodesic_point(flow, params[n - 1]))
+                expected = geodesic_point(flow, params[:n].mean())
+                worst = max(worst, geodesic_distance(state.mean, expected))
+        assert worst <= 1e-12, worst
 
     def test_cut_locus_rejected(self):
         e1 = Subspace(np.array([[1.0], [0.0]]))

@@ -546,6 +546,59 @@ class TestProcessBatch:
         assert report.summary["skipped_batches"] == 1
         assert report.summary["batches"] == 2
 
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize(
+        "variant",
+        ["icms-fb", "icms-fb-pred", "icms-fb-cumul", "icms", "icms-cumul", "avg"],
+    )
+    def test_batch_off_the_source_and_mean_span_is_skipped(
+        self, variant, adaptive, caplog
+    ):
+        # Criterion 7's stream, cut to 40 batches, with 20 rows inserted
+        # after batch 16 that lie off span(P_s, M), M the mean at that
+        # point. The fed-back transform maps them into that span, leaving
+        # rounding noise; without feedback their subspace is at the cut
+        # locus of the mean. Either way the batch is skipped, and the rest
+        # of the run is the clean run.
+        import logging
+
+        stream = generate_drift_stream(
+            DriftParams(
+                seed=0, feature_dim=30, n_classes=2, n_batches=40, batch_size=20,
+                drift_kind="noisy-rotation", drift_rate=0.01, noise=0.1,
+                class_sep=30.0, n_source=400,
+            )
+        )
+        cfg = PipelineConfig(
+            subspace_dim=5, batch_size=20, variant=variant,
+            adaptive_classifier=adaptive,
+        )
+        clean = run_experiment(stream, cfg).records
+        assert len(clean) == 40
+        state = init_pipeline(stream.source_x, stream.source_y, cfg)
+        for batch in stream.batches[:16]:
+            _, _, state = process_batch(state, batch, cfg)
+        span, _ = np.linalg.qr(
+            np.hstack([state.source_subspace.basis, state.mean_state.mean.basis])
+        )
+        rows = np.random.default_rng(0).normal(0.0, 8.0, size=(20, 30))
+        outside = StreamBatch(rows - (rows @ span) @ span.T)
+        with caplog.at_level(logging.WARNING, logger="driftalign.pipeline"):
+            y_hat, accuracy, skipped = process_batch(state, outside, cfg)
+        assert y_hat is None and accuracy is None
+        assert skipped is state
+        reason = "rounding noise" if VARIANTS[variant].feedback else "cut locus"
+        assert reason in caplog.text
+        for batch, expected in zip(stream.batches[16:], clean[16:]):
+            _, _, state = process_batch(state, batch, cfg)
+            got = state.record
+            assert (
+                got.index, got.accuracy, got.dist_source_mean, got.dist_mean_step
+            ) == (
+                expected.index, expected.accuracy, expected.dist_source_mean,
+                expected.dist_mean_step,
+            )
+
     def test_karcher_records_do_not_depend_on_the_basis(self, monkeypatch):
         # Every PCA basis replaced by another basis of the same subspace:
         # the Karcher reference must give the same records.

@@ -12,9 +12,12 @@ from driftalign import (
     DatasetSpec,
     DriftParams,
     LabelOutOfRange,
+    PipelineConfig,
     generate_drift_stream,
     geodesic_distance,
     load_csv_stream,
+    rerun_from_report,
+    run_experiment,
     stream_from_params,
     write_csv_stream,
 )
@@ -304,7 +307,8 @@ class TestGenerator:
 def lazy_truth_params(kind, **overrides):
     params = dict(
         seed=8, feature_dim=16, n_classes=2, n_batches=6, batch_size=8,
-        drift_kind=kind, drift_rate=0.02, signal_dim=3,
+        drift_kind=kind, drift_rate=0.0 if kind == "stationary" else 0.02,
+        signal_dim=3,
         signal_spread=(2.0, 1.5, 1.2),
         noise=0.05 if kind == "noisy-rotation" else 0.0,
     )
@@ -373,3 +377,124 @@ class TestLazyTruth:
         ).truth
         steps = [geodesic_distance(a, b) for a, b in zip(truth.clean, truth.clean[1:])]
         assert np.allclose(steps, 0.02, atol=1e-12)
+
+
+class TestStreamSchema:
+    """``stream_from_params`` checks a dict against its kind's dataclass."""
+
+    def test_fields_left_out_keep_the_dataclass_defaults(self, tmp_path):
+        built = stream_from_params({"kind": "synthetic"})
+        direct = generate_drift_stream(DriftParams())
+        assert built.params == direct.params
+        assert np.array_equal(built.source_x, direct.source_x)
+        path = tmp_path / "stream.csv"
+        write_rows(path, simple_rows(25))
+        csv = stream_from_params({"kind": "csv", "path": str(path), "feature_dim": 3})
+        assert csv.params["batch_size"] == DriftParams().batch_size == 2
+        assert (csv.params["n_classes"], csv.params["source_fraction"]) == (2, 0.1)
+        assert all(b.size == 2 for b in csv.batches)
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("synthetic", dict(source_fraction=0.2)),
+            ("synthetic", dict(has_header=True, path="s.csv")),
+            ("csv", dict(noise=0.3)),
+            ("csv", dict(seed=3, n_batches=4)),
+        ],
+    )
+    def test_unknown_keys_are_named(self, tmp_path, kind, extra):
+        path = tmp_path / "stream.csv"
+        write_rows(path, simple_rows(25))
+        params = {"kind": kind, **extra}
+        if kind == "csv":
+            params = {"path": str(path), "feature_dim": 3, **params}
+        with pytest.raises(BadParameter) as err:
+            stream_from_params(params)
+        for key in extra:
+            assert repr(key) in str(err.value)
+
+    def test_missing_keys_are_named(self):
+        with pytest.raises(BadParameter, match=r"missing keys \['path', 'feature_dim'\]"):
+            stream_from_params({"kind": "csv"})
+        with pytest.raises(
+            BadParameter, match=r"unknown keys \['noise'\], missing keys \['feature_dim'\]"
+        ):
+            stream_from_params({"kind": "csv", "path": "s.csv", "noise": 0.1})
+
+    def test_unknown_kind_rejected(self):
+        for params in ({}, {"kind": "parquet"}):
+            with pytest.raises(BadParameter, match="kind"):
+                stream_from_params(params)
+
+    def test_report_whose_stream_gained_a_key_is_refused(self):
+        stream = generate_drift_stream(
+            DriftParams(feature_dim=12, n_batches=3, batch_size=8, signal_dim=3)
+        )
+        report = run_experiment(stream, PipelineConfig(subspace_dim=3))
+        config = dict(report.config)
+        assert rerun_from_report(config).records[0].accuracy == (
+            report.records[0].accuracy
+        )
+        config["stream"] = dict(config["stream"], forgetting=0.9)
+        with pytest.raises(BadParameter, match="forgetting"):
+            rerun_from_report(config)
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            ("stationary", "noise"),
+            ("stationary", "drift_rate"),
+            ("rotation", "noise"),
+            ("mean-shift", "noise"),
+        ],
+    )
+    def test_kind_refuses_a_parameter_it_never_reads(self, kind, name):
+        params = dict(
+            feature_dim=12, n_batches=3, batch_size=8, signal_dim=3,
+            drift_kind=kind,
+        )
+        with pytest.raises(BadParameter, match=f"reads no {name}"):
+            generate_drift_stream(DriftParams(**params, **{name: 0.2}))
+        # The echo of an unset parameter is zero, and it passes.
+        echoed = generate_drift_stream(DriftParams(**params, **{name: 0.0}))
+        assert stream_from_params(echoed.params).params == echoed.params
+
+
+def same_stream(a, b):
+    """Whether two streams hold the same rows, labels and clean truth, bit for bit."""
+    return (
+        np.array_equal(a.source_x, b.source_x)
+        and np.array_equal(a.source_y, b.source_y)
+        and all(
+            np.array_equal(x.features, y.features) and np.array_equal(x.labels, y.labels)
+            for x, y in zip(a.batches, b.batches, strict=True)
+        )
+        and all(
+            np.array_equal(x.basis, y.basis)
+            for x, y in zip(a.truth.clean, b.truth.clean, strict=True)
+        )
+    )
+
+
+@pytest.mark.parametrize("feature_dim", [20, 30, 64])
+class TestKindsThatCoincide:
+    """Drift kinds that one kind with a zero parameter reproduces bit for bit."""
+
+    def params(self, feature_dim, **overrides):
+        return DriftParams(
+            seed=5, feature_dim=feature_dim, n_batches=12, batch_size=20,
+            **overrides,
+        )
+
+    def test_rotation_is_noisy_rotation_without_noise(self, feature_dim):
+        rotation = self.params(feature_dim, drift_kind="rotation", drift_rate=0.05)
+        noisy = self.params(feature_dim, drift_kind="noisy-rotation", drift_rate=0.05)
+        assert same_stream(generate_drift_stream(rotation), generate_drift_stream(noisy))
+
+    def test_stationary_is_rotation_without_rate(self, feature_dim):
+        stationary = self.params(feature_dim, drift_kind="stationary", target_offset=0.3)
+        rotation = self.params(feature_dim, drift_kind="rotation", target_offset=0.3)
+        assert same_stream(
+            generate_drift_stream(stationary), generate_drift_stream(rotation)
+        )
