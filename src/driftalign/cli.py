@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Each subcommand accepts only the flags it reads (``COMMANDS``). They can
-also come from a flat key=value config file via --config, whose keys are
-checked against the same flags; explicit command-line flags win over file
-values.
+also come from a flat key=value config file via --config: each line is the
+flag it names, read before the command line, so command-line flags win.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
+from .classifiers import KINDS
 from .errors import BadParameter, CsvParseError, DriftAlignError, LabelOutOfRange
 from .pipeline import VARIANTS, PipelineConfig
 from .experiments import compare_means, run_experiment, sweep
@@ -26,6 +26,15 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+
+
+def _int_list(text: str) -> list[int]:
+    """A comma-separated list of at least one integer."""
+    values = [int(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no integer in {text!r}")
+    return values
+
 
 # Every flag, with its argparse keywords. A flag's dest is the dataclass
 # field it sets, in DriftParams or DatasetSpec (the stream), PipelineConfig
@@ -53,14 +62,13 @@ _FLAGS = {
     "--batch-size": dict(type=int),
     "--subspace-dim": dict(type=int, help="default: d/2 capped at 100"),
     "--variant": dict(choices=sorted(VARIANTS)),
-    "--classifier": dict(dest="classifier_kind",
-                         choices=["nearest-class-mean", "linear-margin"]),
+    "--classifier": dict(dest="classifier_kind", choices=KINDS),
     "--adaptive": dict(dest="adaptive_classifier", action="store_true"),
     "--blend": dict(type=float),
     "--update-rate": dict(type=float),
     "--csv": dict(help="also write a flat per-batch CSV here"),
-    "--k-values": dict(help="comma-separated subspace dims"),
-    "--batch-sizes": dict(help="comma-separated batch sizes"),
+    "--k-values": dict(type=_int_list, help="comma-separated subspace dims"),
+    "--batch-sizes": dict(type=_int_list, help="comma-separated batch sizes"),
 }
 
 _DATA = (
@@ -100,21 +108,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values = {}
-    for line_number, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"config line {line_number}: expected key=value")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("_", "-")] = value.strip()
-    return values
-
-
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and its subcommand parsers by name."""
+def _build_parser() -> _Parser:
+    """The top-level parser, with one subparser per subcommand."""
     parser = _Parser(prog="driftalign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, flags) in COMMANDS.items():
@@ -123,36 +118,35 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         )
         for flag in flags:
             command.add_argument(flag, **_FLAGS[flag])
-    return parser, sub.choices
+    return parser
 
 
-def _config_value(action: argparse.Action, key: str, raw: str):
-    """A config-file string converted and checked as its flag would be."""
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        if raw.lower() not in ("true", "false"):
-            raise UsageError(f"config key {key}: expected true or false, got {raw!r}")
-        value = raw.lower() == "true"
-    elif action.type is not None:
-        try:
-            value = action.type(raw)
-        except ValueError as err:
-            raise UsageError(f"config key {key}: {err}") from None
-    else:
-        value = raw
-    if action.choices is not None and value not in action.choices:
-        raise UsageError(
-            f"config key {key}: invalid choice {value!r} "
-            f"(choose from {', '.join(map(str, action.choices))})"
-        )
-    return value
+def _read_config_file(path: str, own: tuple[str, ...]) -> list[str]:
+    """A flat key=value file's lines as the flags they name, full names of ``own``."""
+    tokens = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, equals, value = (part.strip() for part in line.partition("="))
+        flag = "--" + key.replace("_", "-")
+        if not equals:
+            raise UsageError(f"{path}:{number}: expected key=value")
+        if flag not in own:
+            raise UsageError(f"{path}:{number}: no flag {flag} here")
+        if _FLAGS[flag].get("action") != "store_true":
+            tokens.append(f"{flag}={value}")  # "=" keeps a value such as -3 one
+        elif value.lower() not in ("true", "false"):
+            raise UsageError(f"{path}:{number}: expected true or false, got {value!r}")
+        elif value.lower() == "true":
+            tokens.append(flag)  # and false adds none, as if it were left out
+    return tokens
 
 
-def _parse_args(
-    parser: _Parser, commands: dict[str, _Parser], argv: list[str]
-) -> argparse.Namespace:
-    # A first parse finds the subcommand and --config; the file's values
-    # become the subcommand's defaults, and a second parse lets every flag
-    # on the command line, in full or abbreviated form, override them.
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # The first parse finds the subcommand and --config. The file's flags go
+    # before the command line's, and argparse keeps the last value given.
+    parser = _build_parser()
     args = parser.parse_args(argv)
     own = COMMANDS[args.command][1]
     for token in argv:
@@ -163,20 +157,8 @@ def _parse_args(
             raise UsageError(f"{args.command} takes no {flag}")
     if "config" not in args:
         return args
-    file_values = _read_config_file(args.config)
-    command = commands[args.command]
-    # Keys are flag names; each value lands on its flag's dest.
-    actions = {flag[2:]: command._option_string_actions[flag] for flag in own}
-    unknown = set(file_values) - set(actions)
-    if unknown:
-        raise UsageError(f"unknown {args.command} config keys: {sorted(unknown)}")
-    command.set_defaults(
-        **{
-            actions[key].dest: _config_value(actions[key], key, raw)
-            for key, raw in file_values.items()
-        }
-    )
-    return parser.parse_args(argv)
+    file_tokens = _read_config_file(args.config, own)
+    return parser.parse_args([args.command, *file_tokens, *argv[1:]])
 
 
 def _given(args: argparse.Namespace, *specs: type) -> dict:
@@ -203,15 +185,6 @@ def _pipeline_config(args: argparse.Namespace, subspace_dim: int) -> PipelineCon
     return PipelineConfig(**values)
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    if not text:
-        raise UsageError(f"{flag} is required")
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as err:
-        raise UsageError(f"{flag}: {err}") from None
-
-
 def _emit(payload: dict, output: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if output:
@@ -222,9 +195,8 @@ def _emit(payload: dict, output: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = _build_parser()
     try:
-        args = _parse_args(parser, commands, argv)
+        args = _parse_args(argv)
         params = _stream_params(args)
         output = getattr(args, "output", None)
         if args.command == "generate":
@@ -235,12 +207,11 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         if args.command == "sweep":
-            k_values = _parse_int_list(getattr(args, "k_values", ""), "--k-values")
-            batch_sizes = _parse_int_list(
-                getattr(args, "batch_sizes", ""), "--batch-sizes"
-            )
-            # Each cell sets its own subspace dim; 1 is valid at every d.
-            cells = sweep(params, _pipeline_config(args, 1), k_values, batch_sizes)
+            # Not required=True: the first parse runs before the file's flags.
+            if "k_values" not in args or "batch_sizes" not in args:
+                raise UsageError("--k-values and --batch-sizes are required")
+            cfg = _pipeline_config(args, 1)  # each cell sets its own; 1 fits any d
+            cells = sweep(params, cfg, args.k_values, args.batch_sizes)
             _emit({"grid": [asdict(c) for c in cells]}, output)
             return EXIT_OK
 

@@ -90,7 +90,7 @@ class PipelineConfig:
     """
 
     subspace_dim: int
-    batch_size: int = 2
+    batch_size: int = 20
     variant: str = "icms"
     adaptive_classifier: bool = False
     blend: float = 0.5

@@ -234,7 +234,7 @@ class DriftParams:
     feature_dim: int = 30
     n_classes: int = 2
     n_batches: int = 100
-    batch_size: int = 2
+    batch_size: int = 20
     drift_kind: str = "stationary"
     drift_rate: float = 0.0
     noise: float = 0.0

@@ -122,7 +122,7 @@ class TestRun:
             "--signal-dim", "4", "--source-size", "60",
         )
         assert code == 1
-        assert "invalid choice 'nope'" in capsys.readouterr().err
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_config_boolean_other_than_true_or_false_is_usage_error(
         self, tmp_path, capsys
@@ -140,6 +140,33 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg), *flags) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["adaptive_classifier"] is True
+
+    @pytest.mark.parametrize("line", ["header=false", "adaptive=false"])
+    def test_config_switch_false_is_the_flag_left_out(self, line, tmp_path):
+        # header=false with --generate is no flag, not a has_header the
+        # synthetic stream would refuse.
+        cfg = tmp_path / "run.cfg"
+        base = (
+            "generate=stationary\nfeature-dim=20\nbatches=4\nbatch-size=10\n"
+            "signal-dim=4\nsource-size=60\nsubspace-dim=4\n"
+        )
+        reports = []
+        for text in (base, base + line + "\n"):
+            cfg.write_text(text)
+            report_path = tmp_path / "report.json"
+            code = run_cli("run", "--config", str(cfg), "--output", str(report_path))
+            assert code == 0
+            reports.append(json.loads(report_path.read_text()))
+        without, with_line = reports
+        assert with_line["config"] == without["config"]
+        assert _computed(with_line) == _computed(without)
+
+    def test_defaults_alone_run(self, capsys):
+        # The default batch (20 rows) carries the default subspace dim
+        # (d/2 = 15 at the default d = 30).
+        assert run_cli("run", "--generate", "stationary") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"]["skipped_batches"] == 0
 
 
 class TestExitCodes:
@@ -299,6 +326,29 @@ class TestSweepCommand:
         grid = json.loads(capsys.readouterr().out)["grid"]
         assert "subspace_dim must be positive" in grid[0]["error"]
         assert grid[1]["error"] is None
+
+    def test_grid_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("k-values=2,3\nbatch-sizes=20\n")
+        code = run_cli(
+            "sweep", "--config", str(cfg), "--generate", "stationary",
+            "--feature-dim", "20", "--batches", "3", "--signal-dim", "4",
+            "--source-size", "60",
+        )
+        assert code == 0
+        grid = json.loads(capsys.readouterr().out)["grid"]
+        cells = [(c["subspace_dim"], c["batch_size"]) for c in grid]
+        assert cells == [(2, 20), (3, 20)]
+        assert all(c["error"] is None for c in grid)
+
+    @pytest.mark.parametrize("flag", ["--k-values", "--batch-sizes"])
+    def test_empty_grid_list_is_usage_error(self, flag):
+        values = {"--k-values": "2", "--batch-sizes": "20", flag: " "}
+        code = run_cli(
+            "sweep", "--generate", "stationary", "--feature-dim", "20",
+            "--batches", "3", *itertools.chain(*values.items()),
+        )
+        assert code == 1
 
     def test_missing_grid_flags_is_usage_error(self):
         assert (

@@ -390,9 +390,9 @@ class TestStreamSchema:
         path = tmp_path / "stream.csv"
         write_rows(path, simple_rows(25))
         csv = stream_from_params({"kind": "csv", "path": str(path), "feature_dim": 3})
-        assert csv.params["batch_size"] == DriftParams().batch_size == 2
+        assert csv.params["batch_size"] == DriftParams().batch_size == 20
         assert (csv.params["n_classes"], csv.params["source_fraction"]) == (2, 0.1)
-        assert all(b.size == 2 for b in csv.batches)
+        assert all(b.size == 20 for b in csv.batches)
 
     @pytest.mark.parametrize(
         "kind, extra",
