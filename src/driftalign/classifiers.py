@@ -126,9 +126,13 @@ def update_classifier(
     if rate == 0.0:
         return classifier
     x = np.asarray(x, dtype=float)
-    y_hat = _validate_labels(y_hat, classifier.n_classes)
-    centroids = classifier.centroids.copy()
-    for j in np.unique(y_hat):
-        rows = x[y_hat == j]
-        centroids[j] = (1.0 - rate) * centroids[j] + rate * rows.mean(axis=0)
+    c = classifier.n_classes
+    y_hat = _validate_labels(y_hat, c)
+    # Per-class row counts and sums, the sums as one (c x n) @ (n x d) product.
+    counts = np.bincount(y_hat, minlength=c)
+    sums = (y_hat == np.arange(c)[:, None]) @ x
+    # An absent class has weight 0: its centroid is kept as 1.0 * centroid + 0.
+    weight = np.where(counts > 0, rate, 0.0)[:, None]
+    means = sums / np.maximum(counts, 1)[:, None]
+    centroids = (1.0 - weight) * classifier.centroids + weight * means
     return replace(classifier, centroids=centroids)

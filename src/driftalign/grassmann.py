@@ -22,6 +22,14 @@ written for the basis P1 rather than P1 U1, is the log map
 
     Delta = Psi'(0) U1^T = -H diag(theta) U1^T.
 
+The decomposition carries the start directions P1 U1 beside (U1, theta,
+H): the flow and the closed-form transforms' left factor [P1 U1, H] (Gong
+et al., CVPR 2012) read them instead of forming the product again. H is
+built from them too: with sigma = cos theta the singular values of P1^T P2,
+P2 V = P1 U1 diag(sigma) + (I - P1 P1^T) P2 V, so
+
+    H diag(sin theta) = P1 U1 diag(sigma) - P2 V.
+
 Everything costs O(d k^2); no d x d completion of P1 is ever formed
 (Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 1998).
 """
@@ -44,7 +52,7 @@ ORTHONORMALITY_TOL = 1e-10
 # Angles within this of pi/2 sit on the cut locus; geodesics through them
 # are not unique and the operations that need one refuse to continue.
 CUT_LOCUS_TOL = 1e-8
-# Sine values below this are treated as exact zeros: the matching columns
+# Sine values at most this are treated as exact zeros: the matching columns
 # of H are left zero, which is exact wherever H is weighted by sin(t theta).
 _DEGENERATE_SIN = 1e-8
 
@@ -61,23 +69,23 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = np.array(self.basis, dtype=float, copy=True, order="C")
-        if basis.ndim != 2:
-            raise ValueError(f"basis must be 2-D, got shape {basis.shape}")
-        d, k = basis.shape
-        if k < 1:
-            raise ValueError("subspace dimension must be at least 1")
-        if 2 * k > d:
-            raise ValueError(
-                f"subspace dimension k={k} must satisfy k <= d/2 for d={d}"
-            )
+        basis = _read_only_copy(self.basis)
         if not np.isfinite(basis).all():
             raise ValueError("basis contains non-finite entries")
         gram = basis.T @ basis
-        if np.abs(gram - np.eye(k)).max() > ORTHONORMALITY_TOL:
+        if np.abs(gram - np.eye(basis.shape[1])).max() > ORTHONORMALITY_TOL:
             raise ValueError("basis columns are not orthonormal within 1e-10")
-        basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
+
+    @classmethod
+    def _orthonormal(cls, basis: np.ndarray) -> "Subspace":
+        """Wrap a basis whose columns the caller found orthonormal.
+
+        Only the shape is checked; the copy is made as in the constructor.
+        """
+        subspace = object.__new__(cls)
+        object.__setattr__(subspace, "basis", _read_only_copy(basis))
+        return subspace
 
     @property
     def ambient_dim(self) -> int:
@@ -97,13 +105,16 @@ class PrincipalDecomposition:
     (their norm is exact). ``u1`` and ``v`` (k x k) are orthogonal and
     ``h`` (d x k) satisfies the identities in the module notes. Its columns
     are orthonormal and orthogonal to the start basis, except that a column
-    whose sin(theta) is below 1e-8 is zero.
+    whose sin(theta) is at most 1e-8 is zero. ``pu1`` (d x k) is the
+    product P1 U1 of the start basis and ``u1``, the principal directions
+    in the start subspace, from which ``h`` was built (module notes).
     """
 
     u1: np.ndarray
     v: np.ndarray
     theta: np.ndarray
     h: np.ndarray
+    pu1: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +123,22 @@ class GeodesicFlow:
 
     start: Subspace
     decomposition: PrincipalDecomposition
+
+
+def _read_only_copy(basis: np.ndarray) -> np.ndarray:
+    """A read-only float copy of a d x k basis with 1 <= k <= d/2."""
+    basis = np.array(basis, dtype=float, copy=True, order="C")
+    if basis.ndim != 2:
+        raise ValueError(f"basis must be 2-D, got shape {basis.shape}")
+    d, k = basis.shape
+    if k < 1:
+        raise ValueError("subspace dimension must be at least 1")
+    if 2 * k > d:
+        raise ValueError(
+            f"subspace dimension k={k} must satisfy k <= d/2 for d={d}"
+        )
+    basis.setflags(write=False)
+    return basis
 
 
 def _check_same_manifold(p1: Subspace, p2: Subspace) -> None:
@@ -136,8 +163,10 @@ def orthonormalize(m: np.ndarray) -> Subspace:
     k = m.shape[1]
     gram = m.T @ m
     if np.abs(gram - np.eye(k)).max() <= 1e-12:
-        # Already orthonormal; keep the caller's basis bit for bit.
-        return Subspace(m)
+        # Already orthonormal, so finite (a NaN or inf fails the comparison)
+        # and within the constructor's 1e-10: keep the caller's basis bit
+        # for bit without forming its Gram matrix again.
+        return Subspace._orthonormal(m)
     if not np.isfinite(m).all():
         # LAPACK's SVD can spin forever on an inf entry.
         raise ValueError("matrix contains non-finite entries")
@@ -153,26 +182,25 @@ def orthonormalize(m: np.ndarray) -> Subspace:
 def principal_decomposition(p1: Subspace, p2: Subspace) -> PrincipalDecomposition:
     """Rotations and principal angles relating p1 to p2 (see module notes).
 
-    h is computed as -(I - P1 P1^T) P2 V / sin(theta) in O(d k^2).
-    Degenerate directions (sin below tolerance) get zero columns; every
+    h is computed as (P1 U1 diag(sigma) - P2 V) / sin(theta) in O(d k^2),
+    with sigma the singular values of P1^T P2 before clipping to [0, 1].
+    Degenerate directions (sin at most 1e-8) get zero columns; every
     consumer weights column i by a factor that vanishes with
     sin(theta_i), so the zeros are exact there.
     """
     _check_same_manifold(p1, p2)
-    a = p1.basis.T @ p2.basis
-    u1, cos_sv, vt = np.linalg.svd(a)  # cos descending -> theta ascending
+    u1, sigma, vt = np.linalg.svd(p1.basis.T @ p2.basis)  # theta ascending
     v = vt.T
-    cos_sv = np.clip(cos_sv, 0.0, 1.0)
-    residual = p2.basis - p1.basis @ a
-    c = -residual @ v                  # columns: h_i * sin(theta_i)
-    sin_sv = np.linalg.norm(c, axis=0)
+    pu1 = p1.basis @ u1
+    c = pu1 * sigma - p2.basis @ v     # columns: h_i * sin(theta_i)
+    sin_sv = np.sqrt((c * c).sum(axis=0))  # column norms
     # arctan2 stays fully accurate at both ends of [0, pi/2], where either
-    # arccos or arcsin alone would lose half the digits.
-    theta = np.arctan2(sin_sv, cos_sv)
-    h = np.zeros_like(c)
-    good = sin_sv > _DEGENERATE_SIN
-    h[:, good] = c[:, good] / sin_sv[good]
-    return PrincipalDecomposition(u1=u1, v=v, theta=theta, h=h)
+    # arccos or arcsin alone would lose half the digits. Singular values
+    # are nonnegative, so clipping them to [0, 1] only caps them at 1.
+    theta = np.arctan2(sin_sv, np.minimum(sigma, 1.0))
+    # A degenerate column is divided by inf, which leaves it exactly zero.
+    h = c / np.where(sin_sv > _DEGENERATE_SIN, sin_sv, np.inf)
+    return PrincipalDecomposition(u1=u1, v=v, theta=theta, h=h, pu1=pu1)
 
 
 def geodesic_distance(p1: Subspace, p2: Subspace) -> float:
@@ -206,7 +234,7 @@ def geodesic_point(flow: GeodesicFlow, t: float) -> Subspace:
         raise ValueError("geodesic parameter t must be finite")
     pd = flow.decomposition
     angles = float(t) * pd.theta
-    point = (flow.start.basis @ pd.u1) * np.cos(angles) - pd.h * np.sin(angles)
+    point = pd.pu1 * np.cos(angles) - pd.h * np.sin(angles)
     return orthonormalize(point)
 
 

@@ -314,6 +314,8 @@ def generate_drift_stream(params: DriftParams) -> Stream:
             raise BadParameter(f"{name} must be finite, got {value}")
     if p.drift_rate < 0.0 or p.noise < 0.0:
         raise BadParameter("drift_rate and noise must be nonnegative")
+    if p.seed < 0:
+        raise BadParameter(f"seed must be nonnegative, got {p.seed}")
     # Zero is the echo of a parameter the kind never reads; anything else
     # would be echoed as if it had shaped the stream.
     if p.noise != 0.0 and p.drift_kind != "noisy-rotation":

@@ -28,8 +28,9 @@ above theta = sqrt(3)/2 ~ 0.866 rad: there the core, and so G, is
 indefinite and no longer a kernel.
 
 Every transform is one :class:`TransformMatrix`, G = L C L^T. Both closed
-forms keep it factored, with L = [P U3, H] (d x 2k) and the symmetric
-block-diagonal core C (2k x 2k), and are applied as ((x L) C) L^T in
+forms keep it factored, with L = [P U3, H] (d x 2k, P U3 the product the
+decomposition carries) and the symmetric block-diagonal core C
+(2k x 2k), and are applied as ((x L) C) L^T in
 O(n d k) instead of O(n d^2); the dense d x d matrix is built only when
 asked for. The identity and the running average of matrices have no such
 factors: their L is None and C is the dense G.
@@ -137,11 +138,17 @@ def lambda_blocks(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     theta = _validate_angles(theta)
     small = theta < SMALL_ANGLE
-    safe = np.where(small, 1.0, 2.0 * theta)
-    ratio = np.sin(2.0 * theta) / safe
-    l1 = np.where(small, 2.0 - (2.0 / 3.0) * theta**2, 1.0 + ratio)
-    l2 = np.where(small, -theta, (np.cos(2.0 * theta) - 1.0) / safe)
-    l3 = np.where(small, (2.0 / 3.0) * theta**2, 1.0 - ratio)
+    double = 2.0 * theta
+    safe = np.where(small, 1.0, double)
+    ratio = np.sin(double) / safe
+    l1 = 1.0 + ratio
+    l2 = (np.cos(double) - 1.0) / safe
+    l3 = 1.0 - ratio
+    if small.any():
+        tiny = theta[small]
+        l1[small] = 2.0 - (2.0 / 3.0) * tiny**2
+        l2[small] = -tiny
+        l3[small] = (2.0 / 3.0) * tiny**2
     return l1, l2, l3
 
 
@@ -172,7 +179,7 @@ def delta_blocks(
 
 
 def _sandwich(
-    p_source: Subspace,
+    pu3: np.ndarray,
     u3: np.ndarray,
     h: np.ndarray,
     blocks: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -180,21 +187,24 @@ def _sandwich(
 ) -> TransformMatrix:
     """The factored transform [P U3, H] diag-block core [.]^T.
 
-    U3 and H are the ``u1`` and ``h`` of the source-to-target
-    :class:`~driftalign.grassmann.PrincipalDecomposition`.
+    U3, H and P U3 are the ``u1``, ``h`` and ``pu1`` of the
+    source-to-target :class:`~driftalign.grassmann.PrincipalDecomposition`.
     """
     b1, b2, b3 = blocks
-    left = np.hstack([p_source.basis @ u3, h])
-    core = np.block(
-        [[np.diag(b1), np.diag(b2)], [np.diag(b2), np.diag(b3)]]
-    )
+    k = h.shape[1]
+    left = np.hstack([pu3, h])
+    core = np.zeros((2 * k, 2 * k))
+    i = np.arange(k)
+    core[i, i] = b1
+    core[i, i + k] = core[i + k, i] = b2
+    core[i + k, i + k] = b3
     return TransformMatrix(core, left, theta, u3)
 
 
 def gfk_transform(p_source: Subspace, p_target: Subspace) -> TransformMatrix:
     """Closed-form alignment matrix for the source-to-target geodesic."""
     pd = geodesic(p_source, p_target, "gfk_transform").decomposition
-    return _sandwich(p_source, pd.u1, pd.h, lambda_blocks(pd.theta), pd.theta)
+    return _sandwich(pd.pu1, pd.u1, pd.h, lambda_blocks(pd.theta), pd.theta)
 
 
 def cumulative_transform(
@@ -249,7 +259,7 @@ def cumulative_transform(
             DIRECTION_MISMATCH_LIMIT,
         )
 
-    return _sandwich(p_source, end.u1, end.h, delta_blocks(theta0, theta1), theta1)
+    return _sandwich(end.pu1, end.u1, end.h, delta_blocks(theta0, theta1), theta1)
 
 
 def apply_transform(x: np.ndarray, transform: TransformMatrix) -> np.ndarray:

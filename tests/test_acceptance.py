@@ -161,7 +161,7 @@ def test_criterion_4_cumulative_quadrature():
             total = np.zeros((12, 12))
             for w, beta in zip(weights, betas):
                 th = theta0 + (theta1 - theta0) * beta
-                total += w * _sandwich(ps, u3, h, lam(th)).g
+                total += w * _sandwich(ps.basis @ u3, u3, h, lam(th)).g
             return total
 
         small = sweep(lambda th: (2 - (2 / 3) * th**2, -th, (2 / 3) * th**2))

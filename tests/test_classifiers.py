@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from driftalign import (
+    Classifier,
     DimensionMismatch,
     EmptyClassError,
     classify,
     train_source_classifier,
     update_classifier,
 )
+from driftalign.classifiers import NEAREST_CLASS_MEAN
 
 
 def two_blob_data(rng, n=60, d=6, sep=1.0, noise=0.0):
@@ -98,7 +100,42 @@ class TestClassify:
         assert np.array_equal(classify(clf, queries), classify(scaled, queries * 7.25))
 
 
+def looped_update(centroids, x, y_hat, rate):
+    """Reference for update_classifier: one blend per class present."""
+    centroids = centroids.copy()
+    for j in np.unique(y_hat):
+        rows = x[y_hat == j]
+        centroids[j] = (1.0 - rate) * centroids[j] + rate * rows.mean(axis=0)
+    return centroids
+
+
 class TestUpdate:
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 1.0])
+    def test_matches_the_per_class_loop(self, rng, rate):
+        clf = Classifier(NEAREST_CLASS_MEAN, rng.standard_normal((6, 9)))
+        for n in (1, 7, 40):
+            x = 3.0 * rng.standard_normal((n, 9))
+            # Classes 2 and 5 never appear; the others at random.
+            y_hat = rng.choice([0, 1, 3, 4], size=n)
+            updated = update_classifier(clf, x, y_hat, rate)
+            expected = looped_update(clf.centroids, x, y_hat, rate)
+            assert np.abs(updated.centroids - expected).max() < 1e-12, (n, rate)
+            absent = [j for j in range(6) if j not in y_hat]
+            assert np.array_equal(updated.centroids[absent], clf.centroids[absent])
+
+    @pytest.mark.parametrize(
+        "y_hat, message",
+        [
+            (np.array([0.0, 1.0, 0.0]), "integers"),
+            (np.array([0, 2, 1]), r"\[0, 2\)"),
+            (np.array([0, -1, 1]), r"\[0, 2\)"),
+        ],
+    )
+    def test_bad_labels_rejected(self, rng, y_hat, message):
+        clf = Classifier(NEAREST_CLASS_MEAN, rng.standard_normal((2, 4)))
+        with pytest.raises(ValueError, match=message):
+            update_classifier(clf, rng.standard_normal((3, 4)), y_hat, 0.1)
+
     def test_zero_rate_is_identity(self, rng):
         x, y = two_blob_data(rng, noise=0.4)
         clf = train_source_classifier(x, y)

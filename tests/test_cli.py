@@ -239,6 +239,15 @@ class TestExitCodes:
             assert run_cli("run", *argv) == 2, argv
             assert capsys.readouterr().err.startswith("data error:"), argv
 
+    def test_negative_seed_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed=-3\n")
+        flags = ("--generate", "stationary", "--batch-size", "20")
+        for argv in ((*flags, "--seed", "-3"), (*flags, "--config", str(cfg))):
+            assert run_cli("run", *argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "seed" in err, argv
+
     def test_parameter_the_stream_never_reads_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "stream.csv"
         path.write_text("".join(f"{i}.0,{i % 3}.5,{i % 2}\n" for i in range(20)))

@@ -91,6 +91,10 @@ def test_decomposition_identities(pair):
     overlap = p1.basis.T @ p2.basis
     assert np.abs(overlap - cos_part).max() < SHARP
     assert np.abs(p2.basis - p1.basis @ overlap - sin_part).max() < _tol(theta)
+    # The carried start directions are the product itself, and a direction
+    # whose sine is at most 1e-8 has an exactly zero column of H.
+    assert np.array_equal(pd.pu1, p1.basis @ pd.u1)
+    assert (pd.h[:, np.sin(pd.theta) <= TOL] == 0.0).all()
 
 
 @edge_settings

@@ -675,6 +675,41 @@ class TestProcessBatch:
                 state = advanced
 
 
+SOAK_BATCHES = 1000
+SOAK_STREAMS = {
+    "stationary": dict(drift_kind="stationary"),
+    # A slow rotation under per-batch jitter: 0.5 rad over the stream.
+    "noisy-rotation": dict(
+        drift_kind="noisy-rotation", drift_rate=0.5 / SOAK_BATCHES, noise=0.1
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", ["icms", "icms-fb-pred", "icms-fb-cumul", "avg"])
+@pytest.mark.parametrize("kind", sorted(SOAK_STREAMS))
+def test_long_stream_stays_clean(kind, variant, monkeypatch):
+    # A thousand batches at paper shape: none is skipped, the mean stays
+    # orthonormal to 1e-11, the SVD count per batch settles by batch 3 and
+    # no state field grows with the stream.
+    stream = generate_drift_stream(
+        DriftParams(
+            seed=5, feature_dim=30, n_batches=SOAK_BATCHES, batch_size=20,
+            signal_dim=5, **SOAK_STREAMS[kind],
+        )
+    )
+    cfg = PipelineConfig(subspace_dim=5, variant=variant, adaptive_classifier=True)
+    settled, worst = None, 0.0
+    for state, calls in counted_batches(stream, cfg, monkeypatch):
+        mean = state.mean_state.mean.basis
+        worst = max(worst, float(np.abs(mean.T @ mean - np.eye(5)).max()))
+        if state.batch_index >= 3:
+            settled = len(calls) if settled is None else settled
+            assert len(calls) == settled, (state.batch_index, calls)
+        assert state.seen_subspaces == ()
+    assert state.batch_index == SOAK_BATCHES
+    assert worst <= 1e-11
+
+
 class TestAverageAccuracy:
     def test_single_value(self):
         assert average_accuracy([1.0]) == 1.0

@@ -272,6 +272,12 @@ class TestGenerator:
         with pytest.raises(BadParameter):
             generate_drift_stream(DriftParams(**base))
 
+    def test_negative_seed(self):
+        # numpy's generator refuses it with a bare ValueError; the stream
+        # names the parameter instead.
+        with pytest.raises(BadParameter, match="seed must be nonnegative, got -3"):
+            generate_drift_stream(DriftParams(seed=-3))
+
     @pytest.mark.parametrize(
         "bad",
         [

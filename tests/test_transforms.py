@@ -120,9 +120,9 @@ class TestGfkTransform:
         pd = principal_decomposition(p1, p2)
         u3, theta, h = pd.u1, pd.theta, pd.h
         perm = [2, 0, 1]
-        direct = _sandwich(p1, u3, h, lambda_blocks(theta))
+        direct = _sandwich(p1.basis @ u3, u3, h, lambda_blocks(theta))
         shuffled = _sandwich(
-            p1, u3[:, perm], h[:, perm], lambda_blocks(theta[perm])
+            p1.basis @ u3[:, perm], u3[:, perm], h[:, perm], lambda_blocks(theta[perm])
         )
         assert np.abs(direct.g - shuffled.g).max() < 1e-9
 
@@ -239,7 +239,7 @@ class TestCumulativeTransform:
             total = np.zeros((12, 12))
             for w, beta in zip(weights, betas):
                 th = theta0 + (theta1 - theta0) * beta
-                total += w * _sandwich(ps, u3, h, lambda_of_theta(th)).g
+                total += w * _sandwich(ps.basis @ u3, u3, h, lambda_of_theta(th)).g
             return total
 
         small = sweep(
