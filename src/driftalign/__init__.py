@@ -41,7 +41,6 @@ from .experiments import (
     sweep,
 )
 from .grassmann import (
-    GeodesicFlow,
     PrincipalDecomposition,
     Subspace,
     exp_map,

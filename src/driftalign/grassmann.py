@@ -108,6 +108,8 @@ class PrincipalDecomposition:
     whose sin(theta) is at most 1e-8 is zero. ``pu1`` (d x k) is the
     product P1 U1 of the start basis and ``u1``, the principal directions
     in the start subspace, from which ``h`` was built (module notes).
+    It is also the geodesic from the start to the end subspace, as
+    :func:`geodesic` returns it checked. Its arrays are read-only.
     """
 
     u1: np.ndarray
@@ -115,14 +117,6 @@ class PrincipalDecomposition:
     theta: np.ndarray
     h: np.ndarray
     pu1: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class GeodesicFlow:
-    """Constant-speed geodesic t -> Psi(t) with Psi(0) = start."""
-
-    start: Subspace
-    decomposition: PrincipalDecomposition
 
 
 def _read_only_copy(basis: np.ndarray) -> np.ndarray:
@@ -200,6 +194,8 @@ def principal_decomposition(p1: Subspace, p2: Subspace) -> PrincipalDecompositio
     theta = np.arctan2(sin_sv, np.minimum(sigma, 1.0))
     # A degenerate column is divided by inf, which leaves it exactly zero.
     h = c / np.where(sin_sv > _DEGENERATE_SIN, sin_sv, np.inf)
+    for array in (u1, v, theta, h, pu1):
+        array.setflags(write=False)
     return PrincipalDecomposition(u1=u1, v=v, theta=theta, h=h, pu1=pu1)
 
 
@@ -208,31 +204,33 @@ def geodesic_distance(p1: Subspace, p2: Subspace) -> float:
     return float(np.linalg.norm(principal_decomposition(p1, p2).theta))
 
 
-def geodesic(p1: Subspace, p2: Subspace, stage: str = "geodesic") -> GeodesicFlow:
+def geodesic(
+    p1: Subspace, p2: Subspace, stage: str = "geodesic"
+) -> PrincipalDecomposition:
     """The geodesic from p1 (t=0) to p2 (t=1), refused at the cut locus.
 
-    Every stage that follows a geodesic or reads its decomposition builds
-    it here, so this is the one place that refuses the cut locus.
+    The geodesic is the pair's decomposition. Every stage that follows a
+    geodesic or reads the decomposition gets it here, so this is the one
+    place that refuses the cut locus.
     ``stage`` only names the caller in the error; it changes nothing else.
 
     Raises:
         CutLocusError: naming ``stage``, if any principal angle is within
             1e-8 of pi/2, where the connecting geodesic stops being unique.
     """
-    decomposition = principal_decomposition(p1, p2)
-    largest = decomposition.theta[-1]
+    pd = principal_decomposition(p1, p2)
+    largest = pd.theta[-1]
     if largest >= np.pi / 2 - CUT_LOCUS_TOL:
         raise CutLocusError(
             f"{stage}: principal angle {largest:.6f} is at the cut locus (pi/2)"
         )
-    return GeodesicFlow(start=p1, decomposition=decomposition)
+    return pd
 
 
-def geodesic_point(flow: GeodesicFlow, t: float) -> Subspace:
-    """Evaluate the flow at t; t outside [0, 1] extrapolates the curve."""
+def geodesic_point(pd: PrincipalDecomposition, t: float) -> Subspace:
+    """Evaluate the geodesic at t; t outside [0, 1] extrapolates the curve."""
     if not np.isfinite(t):
         raise ValueError("geodesic parameter t must be finite")
-    pd = flow.decomposition
     angles = float(t) * pd.theta
     point = pd.pu1 * np.cos(angles) - pd.h * np.sin(angles)
     return orthonormalize(point)
@@ -250,7 +248,7 @@ def log_map(base: Subspace, x: Subspace) -> np.ndarray:
     Raises:
         CutLocusError: if any principal angle is within 1e-8 of pi/2.
     """
-    pd = geodesic(base, x, "log_map").decomposition
+    pd = geodesic(base, x, "log_map")
     return -(pd.h * pd.theta) @ pd.u1.T
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence
 from .grassmann import (
-    GeodesicFlow,
+    PrincipalDecomposition,
     Subspace,
     exp_map,
     geodesic,
@@ -30,16 +30,17 @@ class MeanState:
     """Running mean over the subspaces absorbed so far.
 
     ``count`` is the number of subspaces absorbed. ``flow`` is the geodesic
-    of the most recent :func:`icms_update`: it starts at the previous mean
-    and passes through ``mean`` at t = 1/count, so evaluating it at
-    t = 2/count continues the last step by one more equal arc. It is None
-    until the second subspace, and for means that do not come from
-    ``icms_update``. ``step`` is the geodesic distance from the previous
-    mean to ``mean`` (0 until the second subspace).
+    of the most recent :func:`icms_update`, the read-only decomposition of
+    (previous mean, observed subspace): it passes through ``mean`` at
+    t = 1/count, so evaluating it at t = 2/count continues the last step by
+    one more equal arc. It is None until the second subspace, and for means
+    that do not come from ``icms_update``. ``step`` is the geodesic
+    distance from the previous mean to ``mean`` (0 until the second
+    subspace).
     """
 
     mean: Subspace
-    flow: GeodesicFlow | None
+    flow: PrincipalDecomposition | None
     count: int
     step: float = 0.0
 
@@ -68,7 +69,7 @@ def icms_update(state: MeanState, p_new: Subspace) -> MeanState:
         mean=geodesic_point(flow, 1.0 / n),
         flow=flow,
         count=n,
-        step=float(np.linalg.norm(flow.decomposition.theta)) / n,
+        step=float(np.linalg.norm(flow.theta)) / n,
     )
 
 

@@ -304,8 +304,8 @@ def _icms_step(
     else:
         transform = gfk_transform(source, mean_state.mean)
     advanced = replace(state, mean_state=mean_state, feedback_transform=transform)
-    # Both closed forms carry the (source, mean) angles they used.
-    return advanced, float(np.linalg.norm(transform.theta))
+    # Both closed forms carry the (source, mean) decomposition they used.
+    return advanced, float(np.linalg.norm(transform.decomposition.theta))
 
 
 def _karcher_step(
@@ -319,7 +319,7 @@ def _karcher_step(
     advanced = replace(
         state, mean_state=mean_state, feedback_transform=transform, seen_subspaces=seen
     )
-    return advanced, float(np.linalg.norm(transform.theta))
+    return advanced, float(np.linalg.norm(transform.decomposition.theta))
 
 
 def _average_step(
@@ -332,7 +332,7 @@ def _average_step(
     mean_state = _baseline_mean_state(state, observed)
     advanced = replace(state, mean_state=mean_state, feedback_transform=transform)
     # The source-to-observed distance, from the batch transform's angles.
-    return advanced, float(np.linalg.norm(g_batch.theta))
+    return advanced, float(np.linalg.norm(g_batch.decomposition.theta))
 
 
 @dataclass(frozen=True)

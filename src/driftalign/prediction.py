@@ -6,9 +6,10 @@ last step from the previous to the current mean defines a velocity, and
 continuing the geodesic for one more equal arc (t = 2 on the flow fit
 through t = 0 and t = 1) predicts where the subspace goes next. A noisy
 observation is then pulled toward the prediction by blending along the
-geodesic between them. Both take their flow from
-:func:`~driftalign.grassmann.geodesic`, which refuses the cut locus;
-:func:`predict_next` then clamps the flow's angles at pi/4 before t = 2.
+geodesic between them. Both take the pair's decomposition, the geodesic,
+from :func:`~driftalign.grassmann.geodesic`, which refuses the cut locus;
+:func:`predict_next` then clamps its angles at pi/4 before t = 2, in a copy
+that shares the read-only directions.
 
 The pipeline does not call :func:`predict_next`. The incremental mean
 already lies at t = 1/n on the flow its update followed from the previous
@@ -53,15 +54,13 @@ def predict_next(p_mean_prev: Subspace, p_mean_cur: Subspace) -> Subspace:
     cannot overshoot the cut locus on noisy streams.
     """
     flow = geodesic(p_mean_prev, p_mean_cur, "predict_next")
-    theta = flow.decomposition.theta
-    if theta[-1] > MAX_STEP_ANGLE:
+    if flow.theta[-1] > MAX_STEP_ANGLE:
         warnings.warn(
-            f"extrapolation step angle {theta[-1]:.4f} exceeds pi/4; clamping",
+            f"extrapolation step angle {flow.theta[-1]:.4f} exceeds pi/4; clamping",
             AngleClampWarning,
             stacklevel=2,
         )
-        clamped = replace(flow.decomposition, theta=np.minimum(theta, MAX_STEP_ANGLE))
-        flow = replace(flow, decomposition=clamped)
+        flow = replace(flow, theta=np.minimum(flow.theta, MAX_STEP_ANGLE))
     return geodesic_point(flow, 2.0)
 
 

@@ -28,9 +28,9 @@ above theta = sqrt(3)/2 ~ 0.866 rad: there the core, and so G, is
 indefinite and no longer a kernel.
 
 Every transform is one :class:`TransformMatrix`, G = L C L^T. Both closed
-forms keep it factored, with L = [P U3, H] (d x 2k, P U3 the product the
-decomposition carries) and the symmetric block-diagonal core C
-(2k x 2k), and are applied as ((x L) C) L^T in
+forms keep it factored, with L = [P U3, H] (d x 2k, read off the
+source-to-target decomposition, which the transform carries) and the
+symmetric block-diagonal core C (2k x 2k), and are applied as ((x L) C) L^T in
 O(n d k) instead of O(n d^2); the dense d x d matrix is built only when
 asked for. The identity and the running average of matrices have no such
 factors: their L is None and C is the dense G.
@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AngleOutOfRange, DimensionMismatch, LengthMismatch
-from .grassmann import Subspace, geodesic
+from .grassmann import PrincipalDecomposition, Subspace, geodesic
 
 logger = logging.getLogger(__name__)
 
@@ -65,20 +65,19 @@ class TransformMatrix:
     G is applied to feature rows as x @ G. The closed forms
     (:func:`gfk_transform`, :func:`cumulative_transform`) keep G factored:
     ``left`` is d x 2k and ``core`` the 2k x 2k symmetric block core. They
-    also carry the principal angles ``theta`` and the k x k rotation ``u1``
-    of the source-to-target decomposition they were built from, which the
-    next :func:`cumulative_transform` reads as the start of its sweep (its
+    also carry the read-only source-to-target ``decomposition`` they were
+    built from, whose angles and directions the next
+    :func:`cumulative_transform` reads as the start of its sweep (its
     ``previous``), so that pair is not decomposed twice. With ``left`` None
     (the identity, the running average of matrices) ``core`` is G itself,
-    and ``theta`` and ``u1`` are None. ``g`` is the dense matrix in either
-    form, built from the factors on first access and cached. Every stored
-    array is a read-only copy.
+    and ``decomposition`` is None. ``g`` is the dense matrix in either
+    form, built from the factors on first access and cached. ``core`` and
+    ``left`` are stored as read-only copies.
     """
 
     core: np.ndarray
     left: np.ndarray | None = None
-    theta: np.ndarray | None = None
-    u1: np.ndarray | None = None
+    decomposition: PrincipalDecomposition | None = None
 
     def __post_init__(self):
         core = np.array(self.core, dtype=float, copy=True, order="C")
@@ -96,9 +95,7 @@ class TransformMatrix:
         if np.abs(core - core.T).max() > 1e-9:
             raise ValueError("transform core is not symmetric within 1e-9")
         core = 0.5 * (core + core.T)
-        theta = None if self.theta is None else np.array(self.theta, dtype=float)
-        u1 = None if self.u1 is None else np.array(self.u1, dtype=float)
-        for name, array in {"core": core, "left": left, "theta": theta, "u1": u1}.items():
+        for name, array in {"core": core, "left": left}.items():
             if array is not None:
                 array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -179,32 +176,28 @@ def delta_blocks(
 
 
 def _sandwich(
-    pu3: np.ndarray,
-    u3: np.ndarray,
-    h: np.ndarray,
-    blocks: tuple[np.ndarray, np.ndarray, np.ndarray],
-    theta: np.ndarray | None = None,
+    pd: PrincipalDecomposition, blocks: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> TransformMatrix:
-    """The factored transform [P U3, H] diag-block core [.]^T.
+    """The factored transform [P U3, H] diag-block core [.]^T, carrying ``pd``.
 
-    U3, H and P U3 are the ``u1``, ``h`` and ``pu1`` of the
-    source-to-target :class:`~driftalign.grassmann.PrincipalDecomposition`.
+    P U3 and H are the ``pu1`` and ``h`` of ``pd``, the source-to-target
+    decomposition.
     """
     b1, b2, b3 = blocks
-    k = h.shape[1]
-    left = np.hstack([pu3, h])
+    k = pd.h.shape[1]
+    left = np.hstack([pd.pu1, pd.h])
     core = np.zeros((2 * k, 2 * k))
     i = np.arange(k)
     core[i, i] = b1
     core[i, i + k] = core[i + k, i] = b2
     core[i + k, i + k] = b3
-    return TransformMatrix(core, left, theta, u3)
+    return TransformMatrix(core, left, pd)
 
 
 def gfk_transform(p_source: Subspace, p_target: Subspace) -> TransformMatrix:
     """Closed-form alignment matrix for the source-to-target geodesic."""
-    pd = geodesic(p_source, p_target, "gfk_transform").decomposition
-    return _sandwich(pd.pu1, pd.u1, pd.h, lambda_blocks(pd.theta), pd.theta)
+    pd = geodesic(p_source, p_target, "gfk_transform")
+    return _sandwich(pd, lambda_blocks(pd.theta))
 
 
 def cumulative_transform(
@@ -215,7 +208,7 @@ def cumulative_transform(
     ``previous`` is the closed-form transform for (source, previous mean):
     :func:`gfk_transform` for the first sweep, this function after that.
     The angle path start theta(0) and its directions are read from its
-    ``theta`` and ``u1``, whose angles were checked when it was built. The
+    ``decomposition``, whose angles were checked when it was built. The
     end theta(1), along with the U3 and H directions, comes from (source,
     current mean); the two angle vectors are paired by sort order as
     printed. When the principal directions of the two decompositions differ
@@ -230,25 +223,24 @@ def cumulative_transform(
 
     Raises:
         CutLocusError: if (source, current mean) is at the cut locus.
-        ValueError: if ``previous`` has no (theta, u1) factors or was built
+        ValueError: if ``previous`` carries no decomposition or was built
             for another subspace dimension.
     """
-    theta0, u1_start = previous.theta, previous.u1
-    if theta0 is None or u1_start is None:
-        raise ValueError("previous transform carries no (theta, u1) factors")
-    if theta0.shape != (p_source.sub_dim,):
+    start = previous.decomposition
+    if start is None:
+        raise ValueError("previous transform carries no decomposition")
+    if start.theta.shape != (p_source.sub_dim,):
         raise ValueError(
-            f"previous transform starts from {theta0.size} angles, "
+            f"previous transform starts from {start.theta.size} angles, "
             f"expected k={p_source.sub_dim}"
         )
     end = geodesic(
         p_source, p_mean_cur, "cumulative_transform (source vs current mean)"
-    ).decomposition
-    theta1 = end.theta
+    )
 
     # Per-column mismatch between the paired principal directions, sign
     # ambiguity removed; columns of both factors are angle-sorted.
-    matched = np.abs(np.einsum("ij,ij->j", u1_start, end.u1))
+    matched = np.abs(np.einsum("ij,ij->j", start.u1, end.u1))
     rotation = np.arccos(np.clip(matched, 0.0, 1.0))
     if rotation.max() > DIRECTION_MISMATCH_LIMIT:
         logger.warning(
@@ -259,7 +251,7 @@ def cumulative_transform(
             DIRECTION_MISMATCH_LIMIT,
         )
 
-    return _sandwich(end.pu1, end.u1, end.h, delta_blocks(theta0, theta1), theta1)
+    return _sandwich(end, delta_blocks(start.theta, end.theta))
 
 
 def apply_transform(x: np.ndarray, transform: TransformMatrix) -> np.ndarray:

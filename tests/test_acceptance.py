@@ -161,7 +161,7 @@ def test_criterion_4_cumulative_quadrature():
             total = np.zeros((12, 12))
             for w, beta in zip(weights, betas):
                 th = theta0 + (theta1 - theta0) * beta
-                total += w * _sandwich(ps.basis @ u3, u3, h, lam(th)).g
+                total += w * _sandwich(end, lam(th)).g
             return total
 
         small = sweep(lambda th: (2 - (2 / 3) * th**2, -th, (2 / 3) * th**2))
@@ -294,13 +294,13 @@ def test_criterion_7_adaptation_benefit():
     # The icms-pred mean path beside the raw one icms absorbs, measured
     # against each batch's clean truth once the prediction is active.
     k = adaptive.subspace_dim
-    pred_mean = raw_mean = None
+    pred_mean = raw_mean = prev_mean = None
     ahead, comp_dist, raw_dist, pred_lag, raw_lag = [], [], [], [], []
     for batch, truth in zip(stream.batches, stream.truth.clean):
         observed = pca_subspace(batch.features, k)
         used = observed
         if pred_mean is not None and pred_mean.flow is not None:
-            predicted = predict_next(pred_mean.flow.start, pred_mean.mean)
+            predicted = predict_next(prev_mean, pred_mean.mean)
             used = compensate(predicted, observed, adaptive.blend)
             ahead.append(
                 geodesic_distance(predicted, truth)
@@ -311,6 +311,7 @@ def test_criterion_7_adaptation_benefit():
         if pred_mean is None:
             pred_mean, raw_mean = init_mean(used), init_mean(observed)
         else:
+            prev_mean = pred_mean.mean
             pred_mean = icms_update(pred_mean, used)
             raw_mean = icms_update(raw_mean, observed)
         pred_lag.append(geodesic_distance(pred_mean.mean, truth))

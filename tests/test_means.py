@@ -40,7 +40,7 @@ class TestIcmsUpdate:
         p1 = random_subspace(12, 3, rng)
         p2 = perturbed(p1, 0.2, rng)
         state = icms_update(init_mean(p1), p2)
-        assert state.flow.start is p1
+        assert np.array_equal(state.flow.pu1, p1.basis @ state.flow.u1)
 
     def test_flow_passes_through_the_mean(self, rng):
         # The carried flow is the one the mean was evaluated on: at

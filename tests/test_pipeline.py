@@ -289,14 +289,15 @@ class TestProcessBatch:
         state = init_pipeline(x, y, cfg)
         batches = [StreamBatch(features=rng.standard_normal((30, 10))) for _ in range(3)]
 
-        mean_state = None
+        mean_state = prev_mean = None
         for i, batch in enumerate(batches):
             observed = pca_subspace(batch.features, 3)
             if i >= 2:
-                predicted = predict_next(mean_state.flow.start, mean_state.mean)
+                predicted = predict_next(prev_mean, mean_state.mean)
                 used = compensate(predicted, observed, 0.5)
             else:
                 used = observed
+            prev_mean = None if mean_state is None else mean_state.mean
             mean_state = (
                 init_mean(used) if mean_state is None else icms_update(mean_state, used)
             )
@@ -463,19 +464,24 @@ class TestProcessBatch:
             PipelineConfig(subspace_dim=100, batch_size=120, adaptive_classifier=True),
             variant,
         )
+        previous_mean = None
         for state, calls in counted_batches(stream, cfg, monkeypatch):
             if state.batch_index == 1:
+                previous_mean = state.mean_state.mean
                 continue
             assert len(calls) == 2, (state.batch_index, calls)
             mean_state = state.mean_state
             source = state.source_subspace
             fresh = cumulative_transform(
-                source, mean_state.mean, gfk_transform(source, mean_state.flow.start)
+                source, mean_state.mean, gfk_transform(source, previous_mean)
             )
+            previous_mean = mean_state.mean
             carried = state.feedback_transform
             assert np.array_equal(carried.left, fresh.left), state.batch_index
             assert np.array_equal(carried.core, fresh.core), state.batch_index
-            assert np.array_equal(carried.theta, fresh.theta), state.batch_index
+            assert np.array_equal(
+                carried.decomposition.theta, fresh.decomposition.theta
+            ), state.batch_index
         assert state.batch_index == 12
 
     def test_prediction_step_reads_the_carried_flow(self, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,9 +122,13 @@ class TestGfkTransform:
         pd = principal_decomposition(p1, p2)
         u3, theta, h = pd.u1, pd.theta, pd.h
         perm = [2, 0, 1]
-        direct = _sandwich(p1.basis @ u3, u3, h, lambda_blocks(theta))
+        direct = _sandwich(pd, lambda_blocks(theta))
         shuffled = _sandwich(
-            p1.basis @ u3[:, perm], u3[:, perm], h[:, perm], lambda_blocks(theta[perm])
+            replace(
+                pd, u1=u3[:, perm], theta=theta[perm], h=h[:, perm],
+                pu1=p1.basis @ u3[:, perm],
+            ),
+            lambda_blocks(theta[perm]),
         )
         assert np.abs(direct.g - shuffled.g).max() < 1e-9
 
@@ -239,7 +245,7 @@ class TestCumulativeTransform:
             total = np.zeros((12, 12))
             for w, beta in zip(weights, betas):
                 th = theta0 + (theta1 - theta0) * beta
-                total += w * _sandwich(ps.basis @ u3, u3, h, lambda_of_theta(th)).g
+                total += w * _sandwich(end, lambda_of_theta(th)).g
             return total
 
         small = sweep(
@@ -270,7 +276,7 @@ class TestCumulativeTransform:
     def test_previous_without_factors_rejected(self, rng):
         ps = random_subspace(12, 3, rng)
         pm = perturbed(ps, 0.1, rng)
-        with pytest.raises(ValueError, match="no .theta, u1. factors"):
+        with pytest.raises(ValueError, match="carries no decomposition"):
             cumulative_transform(ps, pm, TransformMatrix.identity(12))
 
     def test_previous_of_another_dimension_rejected(self, rng):
@@ -362,7 +368,8 @@ class TestFactoredForm:
         x = rng.standard_normal((7, d))
         assert np.abs(apply_transform(x, transform) - x @ dense).max() < 1e-10
         assert np.abs(transform.g - dense).max() < 1e-10
-        assert np.abs(transform.theta - principal_angles(ps, pt)).max() < 1e-12
+        theta = transform.decomposition.theta
+        assert np.abs(theta - principal_angles(ps, pt)).max() < 1e-12
 
     def test_cumulative_matches_dense_build(self, rng, d, k):
         ps = random_subspace(d, k, rng)
@@ -375,7 +382,8 @@ class TestFactoredForm:
         x = rng.standard_normal((7, d))
         assert np.abs(apply_transform(x, transform) - x @ dense).max() < 1e-10
         assert np.abs(transform.g - dense).max() < 1e-10
-        assert np.abs(transform.theta - principal_angles(ps, cur)).max() < 1e-12
+        theta = transform.decomposition.theta
+        assert np.abs(theta - principal_angles(ps, cur)).max() < 1e-12
 
 
 class TestFactoredTransformMatrix:
@@ -391,7 +399,7 @@ class TestFactoredTransformMatrix:
     def test_dense_forms_carry_no_factors(self):
         identity = TransformMatrix.identity(4)
         assert identity.left is None and identity.g is identity.core
-        assert identity.theta is None and identity.u1 is None
+        assert identity.decomposition is None
         assert identity.dim == 4
 
     def test_rejects_bad_factors(self, rng):
@@ -412,8 +420,9 @@ class TestFactoredTransformMatrix:
             transform.left = np.eye(3)
         ps = random_subspace(12, 3, rng)
         factored = gfk_transform(ps, perturbed(ps, 0.2, rng))
-        assert factored.u1.shape == (3, 3) and not factored.u1.flags.writeable
+        u1 = factored.decomposition.u1
+        assert u1.shape == (3, 3) and not u1.flags.writeable
         with pytest.raises(ValueError):
-            factored.u1[0, 0] = 2.0
+            u1[0, 0] = 2.0
         with pytest.raises(AttributeError):
-            factored.u1 = np.eye(3)
+            factored.decomposition = None
