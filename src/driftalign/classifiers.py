@@ -23,11 +23,20 @@ class Classifier:
     Decisions are invariant to one global positive scale applied jointly to
     the stored centroids and the query batch. Adaptive updates move the
     centroids only; linear-margin weights stay as trained on the source.
+    Both arrays are stored as read-only copies.
     """
 
     kind: str
     centroids: np.ndarray  # (c, d)
     weights: np.ndarray | None = None  # (c, d), linear-margin only
+
+    def __post_init__(self):
+        for name in ("centroids", "weights"):
+            array = getattr(self, name)
+            if array is not None:
+                array = np.array(array, dtype=float)
+                array.setflags(write=False)
+                object.__setattr__(self, name, array)
 
     @property
     def n_classes(self) -> int:
@@ -119,15 +128,16 @@ def update_classifier(
 
     For every class j present in ``y_hat`` with batch mean m_j:
     centroid_j <- (1 - rate) * centroid_j + rate * m_j. Classes absent from
-    the batch are untouched, and rate = 0 returns the classifier unchanged.
+    the batch are untouched, and rate = 0 returns the classifier unchanged
+    once the labels are checked.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"update rate must be in [0, 1], got {rate}")
+    c = classifier.n_classes
+    y_hat = _validate_labels(y_hat, c)
     if rate == 0.0:
         return classifier
     x = np.asarray(x, dtype=float)
-    c = classifier.n_classes
-    y_hat = _validate_labels(y_hat, c)
     # Per-class row counts and sums, the sums as one (c x n) @ (n x d) product.
     counts = np.bincount(y_hat, minlength=c)
     sums = (y_hat == np.arange(c)[:, None]) @ x

@@ -1,6 +1,7 @@
 """Command-line front end: run | sweep | compare-means | generate.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error (a bad flag, or a run setting refused
+with ``ConfigError``), 2 data error, 3 numerical failure.
 Each subcommand accepts only the flags it reads (``COMMANDS``). They can
 also come from a flat key=value config file via --config: each line is the
 flag it names, read before the command line, so command-line flags win.
@@ -15,7 +16,9 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .classifiers import KINDS
-from .errors import BadParameter, CsvParseError, DriftAlignError, LabelOutOfRange
+from .errors import (
+    BadParameter, ConfigError, CsvParseError, DriftAlignError, LabelOutOfRange,
+)
 from .pipeline import VARIANTS, PipelineConfig
 from .experiments import compare_means, run_experiment, sweep
 from .streams import (
@@ -230,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         rows = compare_means(stream, cfg)
         _emit({"rows": [asdict(r) for r in rows]}, output)
         return EXIT_OK
-    except UsageError as err:
+    except (UsageError, ConfigError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (CsvParseError, LabelOutOfRange, BadParameter, FileNotFoundError) as err:

@@ -8,7 +8,9 @@ pseudo-labels; ``process_batch`` runs that sequence, and the config's
 variant id picks its step and optional stages from ``VARIANTS``. Feedback
 keeps the mean in span(P_s, M_1): G = L C L^T maps rows into span(P_s) +
 span(M), so each batch's subspace and the mean's geodesic stay there.
-State values are immutable, so distinct streams can run in parallel.
+State values are immutable and every array they reach is read-only (the
+mean's and the transform's decompositions, the classifier's arrays), so
+distinct streams can run in parallel.
 """
 
 from __future__ import annotations

@@ -99,6 +99,16 @@ def _source_rows(total: int, fraction: float) -> int:
     return int(math.ceil(fraction * total - 1e-9))
 
 
+def _check_source_classes(source_y: np.ndarray, n_classes: int) -> None:
+    """Refuse a source split without every class: the classifier needs each one."""
+    missing = np.flatnonzero(np.bincount(source_y, minlength=n_classes) == 0)
+    if missing.size:
+        raise BadParameter(
+            f"the source split of {source_y.size} rows has no sample of "
+            f"class(es) {missing.tolist()}"
+        )
+
+
 def _chunk(
     x: np.ndarray, y: np.ndarray | None, batch_size: int
 ) -> tuple[StreamBatch, ...]:
@@ -123,7 +133,7 @@ def load_csv_stream(
     Rows are d float feature columns followed by one integer label column;
     an optional single header line is skipped when ``spec.has_header``.
     Parse failures, non-finite feature cells included, name the 1-based
-    file row and column.
+    file row and column. A source split that lacks a class is refused.
     """
     if batch_size < 1:
         raise BadParameter(f"batch size must be at least 1, got {batch_size}")
@@ -190,6 +200,7 @@ def load_csv_stream(
             f"source fraction {spec.source_fraction} leaves no usable split "
             f"of {total} rows"
         )
+    _check_source_classes(y[:n_source], spec.n_classes)
     batches = _chunk(x[n_source:], y[n_source:], batch_size)
     params = {
         "kind": "csv",
@@ -297,7 +308,7 @@ def generate_drift_stream(params: DriftParams) -> Stream:
     returned ground truth yields the clean and the jittered frame of
     every batch, built when first read. A nonzero ``noise`` on any kind but
     "noisy-rotation", or ``drift_rate`` on "stationary", is refused: the
-    kind never reads it.
+    kind never reads it. So is a seed whose source draw lacks a class.
     """
     p = params
     if p.drift_kind not in DRIFT_KINDS:
@@ -367,6 +378,7 @@ def generate_drift_stream(params: DriftParams) -> Stream:
         return x
 
     source_y = rng.integers(0, p.n_classes, size=p.n_source)
+    _check_source_classes(source_y, p.n_classes)
     source_x = sample(frame0, source_y, None)
 
     shift_direction = rng.standard_normal(d)

@@ -9,7 +9,7 @@ from driftalign import (
     train_source_classifier,
     update_classifier,
 )
-from driftalign.classifiers import NEAREST_CLASS_MEAN
+from driftalign.classifiers import KINDS, NEAREST_CLASS_MEAN
 
 
 def two_blob_data(rng, n=60, d=6, sep=1.0, noise=0.0):
@@ -109,6 +109,24 @@ def looped_update(centroids, x, y_hat, rate):
     return centroids
 
 
+class TestStoredArrays:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_read_only_copies(self, rng, kind):
+        x, y = two_blob_data(rng, noise=0.4)
+        clf = train_source_classifier(x, y, kind=kind)
+        updated = update_classifier(clf, x, y, 0.1)
+        for model in (clf, updated):
+            for array in (model.centroids, model.weights):
+                if array is not None:
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError):
+                        array[0, 0] = 1.0
+        centroids = rng.standard_normal((2, 6))
+        direct = Classifier(NEAREST_CLASS_MEAN, centroids)
+        centroids[0, 0] = 99.0
+        assert direct.centroids[0, 0] != 99.0
+
+
 class TestUpdate:
     @pytest.mark.parametrize("rate", [0.0, 0.1, 1.0])
     def test_matches_the_per_class_loop(self, rng, rate):
@@ -135,6 +153,13 @@ class TestUpdate:
         clf = Classifier(NEAREST_CLASS_MEAN, rng.standard_normal((2, 4)))
         with pytest.raises(ValueError, match=message):
             update_classifier(clf, rng.standard_normal((3, 4)), y_hat, 0.1)
+
+    def test_bad_labels_rejected_at_zero_rate(self, rng):
+        clf = Classifier(NEAREST_CLASS_MEAN, rng.standard_normal((2, 4)))
+        with pytest.raises(ValueError, match="integers"):
+            update_classifier(clf, rng.standard_normal((2, 4)), np.array([0.5, 7.0]), 0.0)
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            update_classifier(clf, rng.standard_normal((2, 4)), np.array([0, 7]), 0.0)
 
     def test_zero_rate_is_identity(self, rng):
         x, y = two_blob_data(rng, noise=0.4)

@@ -280,12 +280,71 @@ class TestExitCodes:
         assert code == 3
 
     def test_numerical_error_config(self):
-        # k = 6 exceeds d/2 = 5: a ConfigError, reported as exit 3.
+        # k = 6 exceeds d/2 = 5: a ConfigError, a usage error (exit 1).
         code = run_cli(
             "run", "--generate", "stationary", "--feature-dim", "10",
             "--subspace-dim", "6",
         )
-        assert code == 3
+        assert code == 1
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("run", "blend", "2"),
+            *(
+                (command, key, value)
+                for command in ("run", "compare-means")
+                for key, value in (
+                    ("update-rate", "1.5"), ("subspace-dim", "0"),
+                    ("subspace-dim", "20"),
+                )
+            ),
+        ],
+    )
+    def test_bad_config_value_is_usage_error(
+        self, command, key, value, tmp_path, capsys
+    ):
+        # Each is refused by PipelineConfig or by k <= d/2 at d = 30
+        # (compare-means takes no --blend).
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        flags = ("--generate", "stationary", "--batches", "3")
+        for argv in ((*flags, f"--{key}", value), (*flags, "--config", str(cfg))):
+            assert run_cli(command, *argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:"), (argv, err)
+
+    def test_bad_base_config_of_a_sweep_is_usage_error(self, capsys):
+        code = run_cli(
+            "sweep", "--generate", "stationary", "--batches", "3",
+            "--k-values", "2", "--batch-sizes", "20", "--blend", "2",
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize("seed, missing", [("2", "[2]"), ("6", "[0]")])
+    def test_source_split_without_every_class_is_data_error(
+        self, seed, missing, capsys
+    ):
+        # Seed 2 ran a two-class model on the three-class stream (exit 0);
+        # seed 6 failed in training as a numerical failure (exit 3).
+        code = run_cli(
+            "run", "--generate", "stationary", "--source-size", "6",
+            "--classes", "3", "--subspace-dim", "2", "--batches", "5",
+            "--seed", seed,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"class(es) {missing}" in err
+
+    def test_csv_source_prefix_of_one_class_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "stream.csv"
+        path.write_text(
+            "".join(f"{i}.0,{i % 3}.5,{int(i >= 10) * (i % 2)}\n" for i in range(100))
+        )
+        code = run_cli("run", "--data", str(path), "--feature-dim", "2")
+        assert code == 2
+        assert "class(es) [1]" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -324,6 +383,18 @@ class TestSweepCommand:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("data error:")
+
+    def test_oversized_k_value_is_a_cell_error(self, capsys):
+        # A cell's own config error marks that cell; the sweep goes on.
+        code = run_cli(
+            "sweep", "--generate", "stationary", "--feature-dim", "20",
+            "--batches", "3", "--signal-dim", "4", "--source-size", "60",
+            "--k-values", "11,2", "--batch-sizes", "20",
+        )
+        assert code == 0
+        grid = json.loads(capsys.readouterr().out)["grid"]
+        assert "must satisfy k <= d/2" in grid[0]["error"]
+        assert grid[1]["error"] is None
 
     def test_zero_k_value_is_a_cell_error(self, capsys):
         code = run_cli(

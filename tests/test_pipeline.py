@@ -681,6 +681,42 @@ class TestProcessBatch:
                 state = advanced
 
 
+def reachable_arrays(value, path):
+    """Every ndarray reachable from ``value``, with the attribute path to it."""
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif isinstance(value, (tuple, list)):
+        for i, item in enumerate(value):
+            yield from reachable_arrays(item, f"{path}[{i}]")
+    elif hasattr(value, "__dict__"):
+        for name, item in vars(value).items():
+            yield from reachable_arrays(item, f"{path}.{name}")
+
+
+@pytest.mark.parametrize("kind", ["nearest-class-mean", "linear-margin"])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_state_arrays_are_read_only(variant, kind):
+    # State values are immutable: after three adaptive batches no array
+    # that the state reaches (the mean's flow, the transform's factors,
+    # dense form and decomposition, the classifier) can be written.
+    stream = noisy_rotation_stream()
+    cfg = PipelineConfig(
+        subspace_dim=5, variant=variant, classifier_kind=kind, adaptive_classifier=True
+    )
+    state = init_pipeline(stream.source_x, stream.source_y, cfg)
+    for batch in stream.batches[:3]:
+        y_hat, _, state = process_batch(state, batch, cfg)
+        assert y_hat is not None
+    state.feedback_transform.g  # cached on first access
+    arrays = dict(reachable_arrays(state, "state"))
+    assert "state.classifier.centroids" in arrays
+    if variant.startswith("icms"):
+        assert "state.mean_state.flow.pu1" in arrays
+        assert "state.feedback_transform.decomposition.h" in arrays
+    writable = [path for path, array in arrays.items() if array.flags.writeable]
+    assert writable == []
+
+
 SOAK_BATCHES = 1000
 SOAK_STREAMS = {
     "stationary": dict(drift_kind="stationary"),

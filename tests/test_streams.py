@@ -1,4 +1,5 @@
 import gc
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -120,6 +121,18 @@ class TestLoadCsv:
         write_rows(path, rows)
         spec = DatasetSpec(path=path, feature_dim=3, n_classes=2)
         with pytest.raises(LabelOutOfRange):
+            load_csv_stream(path, spec, batch_size=2)
+
+    def test_source_split_without_every_class_rejected(self, tmp_path):
+        # The 10-row source prefix holds only class 0, so the classifier
+        # would be trained for one class of a two-class stream.
+        path = tmp_path / "stream.csv"
+        rows = simple_rows(100)
+        for row in rows[:10]:
+            row[-1] = 0
+        write_rows(path, rows)
+        spec = DatasetSpec(path=path, feature_dim=3, n_classes=2)
+        with pytest.raises(BadParameter, match=r"no sample of class\(es\) \[1\]"):
             load_csv_stream(path, spec, batch_size=2)
 
     def test_header_flag(self, tmp_path):
@@ -277,6 +290,14 @@ class TestGenerator:
         # names the parameter instead.
         with pytest.raises(BadParameter, match="seed must be nonnegative, got -3"):
             generate_drift_stream(DriftParams(seed=-3))
+
+    @pytest.mark.parametrize("seed, missing", [(2, "[2]"), (6, "[0]")])
+    def test_source_draw_without_every_class_rejected(self, seed, missing):
+        # Six source rows over three classes: seed 2 draws no class 2 (the
+        # run went on with a two-class classifier), seed 6 no class 0.
+        params = DriftParams(seed=seed, n_classes=3, n_source=6, n_batches=5)
+        with pytest.raises(BadParameter, match=re.escape(f"class(es) {missing}")):
+            generate_drift_stream(params)
 
     @pytest.mark.parametrize(
         "bad",
