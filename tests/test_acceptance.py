@@ -155,7 +155,7 @@ def test_criterion_4_cumulative_quadrature():
         closed = cumulative_transform(ps, cur, gfk_transform(ps, prev)).g
         theta0 = principal_angles(ps, prev)
         end = principal_decomposition(ps, cur)
-        u3, theta1, h = end.u1, end.theta, end.h
+        theta1 = end.theta
 
         def sweep(lam):
             total = np.zeros((12, 12))

@@ -384,18 +384,6 @@ class TestSweepCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("data error:")
 
-    def test_oversized_k_value_is_a_cell_error(self, capsys):
-        # A cell's own config error marks that cell; the sweep goes on.
-        code = run_cli(
-            "sweep", "--generate", "stationary", "--feature-dim", "20",
-            "--batches", "3", "--signal-dim", "4", "--source-size", "60",
-            "--k-values", "11,2", "--batch-sizes", "20",
-        )
-        assert code == 0
-        grid = json.loads(capsys.readouterr().out)["grid"]
-        assert "must satisfy k <= d/2" in grid[0]["error"]
-        assert grid[1]["error"] is None
-
     def test_zero_k_value_is_a_cell_error(self, capsys):
         code = run_cli(
             "sweep", "--generate", "stationary", "--feature-dim", "20",

@@ -236,7 +236,7 @@ class TestCumulativeTransform:
 
         theta0 = principal_angles(ps, pm_prev)
         end = principal_decomposition(ps, pm_cur)
-        u3, theta1, h = end.u1, end.theta, end.h
+        theta1 = end.theta
         nodes = 65
         betas = np.linspace(0.0, 1.0, nodes)
         weights = simpson_weights(nodes)
