@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,9 @@ class Classifier:
     Decisions are invariant to one global positive scale applied jointly to
     the stored centroids and the query batch. Adaptive updates move the
     centroids only; linear-margin weights stay as trained on the source.
-    Both arrays are stored as read-only copies.
+    Both arrays are read-only: the constructor copies the caller's arrays,
+    and the centroids that an update or an aligned view computes are
+    frozen in place.
     """
 
     kind: str
@@ -31,12 +33,42 @@ class Classifier:
     weights: np.ndarray | None = None  # (c, d), linear-margin only
 
     def __post_init__(self):
-        for name in ("centroids", "weights"):
-            array = getattr(self, name)
-            if array is not None:
-                array = np.array(array, dtype=float)
-                array.setflags(write=False)
-                object.__setattr__(self, name, array)
+        if self.kind not in KINDS:
+            raise ValueError(
+                f"unknown classifier kind {self.kind!r}; expected one of {KINDS}"
+            )
+        centroids = np.array(self.centroids, dtype=float)
+        if centroids.ndim != 2:
+            raise ValueError(f"centroids must be 2-D, got shape {centroids.shape}")
+        weights = self.weights
+        if weights is not None:
+            weights = np.array(weights, dtype=float)
+            if weights.shape != centroids.shape:
+                raise ValueError(
+                    f"weights of shape {weights.shape} do not match centroids "
+                    f"of shape {centroids.shape}"
+                )
+            weights.setflags(write=False)
+        centroids.setflags(write=False)
+        object.__setattr__(self, "centroids", centroids)
+        object.__setattr__(self, "weights", weights)
+
+    def _with_centroids(self, centroids: np.ndarray) -> "Classifier":
+        """This classifier with new centroids built here, of the same shape.
+
+        The kind and the weights are this checked classifier's. The float
+        array is frozen in place, not copied, so no caller may hold it.
+        """
+        if centroids.shape != self.centroids.shape:
+            raise DimensionMismatch(
+                f"centroids of shape {centroids.shape} replace {self.centroids.shape}"
+            )
+        centroids.setflags(write=False)
+        classifier = object.__new__(type(self))
+        object.__setattr__(classifier, "kind", self.kind)
+        object.__setattr__(classifier, "centroids", centroids)
+        object.__setattr__(classifier, "weights", self.weights)
+        return classifier
 
     @property
     def n_classes(self) -> int:
@@ -145,4 +177,4 @@ def update_classifier(
     weight = np.where(counts > 0, rate, 0.0)[:, None]
     means = sums / np.maximum(counts, 1)[:, None]
     centroids = (1.0 - weight) * classifier.centroids + weight * means
-    return replace(classifier, centroids=centroids)
+    return classifier._with_centroids(centroids)

@@ -87,7 +87,9 @@ def run_experiment(
     On a mid-stream abort the partial report is still flushed to
     ``output_path`` before the error propagates.
     """
-    state = init_pipeline(stream.source_x, stream.source_y, cfg)
+    # Both stream loaders echo the class count; a hand-built stream may not.
+    n_classes = stream.params.get("n_classes")
+    state = init_pipeline(stream.source_x, stream.source_y, cfg, n_classes)
     started = time.perf_counter()
     records, skipped = [], 0
     try:

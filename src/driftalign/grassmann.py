@@ -69,7 +69,7 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = _read_only_copy(self.basis)
+        basis = _frozen_basis(np.array(self.basis, dtype=float, order="C"))
         if not np.isfinite(basis).all():
             raise ValueError("basis contains non-finite entries")
         gram = basis.T @ basis
@@ -79,12 +79,15 @@ class Subspace:
 
     @classmethod
     def _orthonormal(cls, basis: np.ndarray) -> "Subspace":
-        """Wrap a basis whose columns the caller found orthonormal.
+        """Wrap a basis built here whose columns were found orthonormal.
 
-        Only the shape is checked; the copy is made as in the constructor.
+        Only the shape is checked. A C-contiguous float array is frozen in
+        place, not copied, so it must be one that no caller holds; any
+        other layout is copied first, as the constructor copies.
         """
         subspace = object.__new__(cls)
-        object.__setattr__(subspace, "basis", _read_only_copy(basis))
+        basis = _frozen_basis(np.ascontiguousarray(basis, dtype=float))
+        object.__setattr__(subspace, "basis", basis)
         return subspace
 
     @property
@@ -119,9 +122,8 @@ class PrincipalDecomposition:
     pu1: np.ndarray
 
 
-def _read_only_copy(basis: np.ndarray) -> np.ndarray:
-    """A read-only float copy of a d x k basis with 1 <= k <= d/2."""
-    basis = np.array(basis, dtype=float, copy=True, order="C")
+def _frozen_basis(basis: np.ndarray) -> np.ndarray:
+    """The d x k basis, 1 <= k <= d/2, marked read-only in place."""
     if basis.ndim != 2:
         raise ValueError(f"basis must be 2-D, got shape {basis.shape}")
     d, k = basis.shape
@@ -146,20 +148,27 @@ def _check_same_manifold(p1: Subspace, p2: Subspace) -> None:
 def orthonormalize(m: np.ndarray) -> Subspace:
     """Return the subspace spanned by the columns of a full-rank matrix.
 
+    The caller's matrix is copied, never kept.
+
     Raises:
         RankDeficient: if the smallest singular value is below
             1e-10 times the largest.
         ValueError: if the matrix has a non-finite entry.
     """
-    m = np.asarray(m, dtype=float)
+    return _orthonormalize(np.array(m, dtype=float))
+
+
+def _orthonormalize(m: np.ndarray) -> Subspace:
+    """:func:`orthonormalize` of a float matrix built here, kept if orthonormal."""
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     k = m.shape[1]
     gram = m.T @ m
-    if np.abs(gram - np.eye(k)).max() <= 1e-12:
+    gram.flat[:: k + 1] -= 1.0  # gram - I
+    if np.abs(gram).max() <= 1e-12:
         # Already orthonormal, so finite (a NaN or inf fails the comparison)
-        # and within the constructor's 1e-10: keep the caller's basis bit
-        # for bit without forming its Gram matrix again.
+        # and within the constructor's 1e-10: keep the basis bit for bit
+        # without forming its Gram matrix again.
         return Subspace._orthonormal(m)
     if not np.isfinite(m).all():
         # LAPACK's SVD can spin forever on an inf entry.
@@ -233,7 +242,7 @@ def geodesic_point(pd: PrincipalDecomposition, t: float) -> Subspace:
         raise ValueError("geodesic parameter t must be finite")
     angles = float(t) * pd.theta
     point = pd.pu1 * np.cos(angles) - pd.h * np.sin(angles)
-    return orthonormalize(point)
+    return _orthonormalize(point)
 
 
 def log_map(base: Subspace, x: Subspace) -> np.ndarray:
@@ -282,4 +291,4 @@ def exp_map(base: Subspace, delta: np.ndarray) -> Subspace:
     s = np.sqrt(np.clip(evals, 0.0, None))
     sinc = np.where(s > 1e-12, np.sin(s) / np.where(s > 1e-12, s, 1.0), 1.0)
     point = base.basis @ (v * np.cos(s)) @ v.T + delta @ (v * sinc) @ v.T
-    return orthonormalize(point)
+    return _orthonormalize(point)

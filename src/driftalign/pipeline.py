@@ -10,7 +10,9 @@ keeps the mean in span(P_s, M_1): G = L C L^T maps rows into span(P_s) +
 span(M), so each batch's subspace and the mean's geodesic stay there.
 State values are immutable and every array they reach is read-only (the
 mean's and the transform's decompositions, the classifier's arrays), so
-distinct streams can run in parallel.
+distinct streams can run in parallel. The value types copy arrays that a
+caller passes in; the arrays the loop computes for itself are frozen in
+place instead, as no caller holds them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import logging
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .classifiers import (
     update_classifier,
 )
 from .errors import ConfigError, CutLocusError, DimensionMismatch, RankDeficient
-from .grassmann import Subspace, geodesic_distance, geodesic_point, orthonormalize
+from .grassmann import Subspace, _orthonormalize, geodesic_distance, geodesic_point
 from .means import (
     MeanState,
     icms_update,
@@ -161,7 +163,7 @@ class PipelineState:
 _GRAM_RESOLVED = 1e-6
 
 
-def pca_subspace(x: np.ndarray, k: int) -> Subspace:
+def pca_subspace(x: np.ndarray, k: int, reference: float | None = None) -> Subspace:
     """Top-k principal directions of the mean-centered rows.
 
     The directions come from the eigendecomposition of the smaller Gram
@@ -176,9 +178,16 @@ def pca_subspace(x: np.ndarray, k: int) -> Subspace:
     directions and the check come from the SVD of Xc instead. That route
     also takes rows so large (~1e154) that the Gram matrix overflows.
 
+    ``reference`` is the Frobenius norm of the centered rows before a map
+    (the fed-back transform) took them to ``x``. Centered rows below
+    1e-10 of it lie outside the map's range, and what is left of them is
+    rounding noise, not a subspace. An overflowing (inf) reference is not
+    judged, and None judges nothing.
+
     Raises:
         RankDeficient: if the centered scatter has numerical rank < k
-            (including the case of too few rows, k > N - 1).
+            (including the case of too few rows, k > N - 1), or if the
+            centered rows are below 1e-10 of ``reference``.
         ValueError: if a sample, or the centering of one, is not finite.
     """
     x = np.asarray(x, dtype=float)
@@ -191,6 +200,12 @@ def pca_subspace(x: np.ndarray, k: int) -> Subspace:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         centered = x - x.mean(axis=0)
+        if reference is not None and (
+            np.linalg.norm(centered) < 1e-10 * reference < np.inf
+        ):
+            raise RankDeficient(
+                "the fed-back transform maps the centered rows to rounding noise"
+            )
         gram = centered @ centered.T if n < d else centered.T @ centered
     if np.isfinite(gram).all():
         evals, vecs = np.linalg.eigh(gram)
@@ -198,27 +213,14 @@ def pca_subspace(x: np.ndarray, k: int) -> Subspace:
         if top[0] > 0.0 and top[-1] > _GRAM_RESOLVED * top[0]:
             vecs = vecs[:, : -k - 1 : -1]
             basis = (centered.T @ vecs) / np.sqrt(top) if n < d else vecs
-            return orthonormalize(basis)
+            return _orthonormalize(basis)
     if not np.isfinite(centered).all():
         # LAPACK's SVD can spin forever on an inf entry.
         raise ValueError("centered samples contain non-finite values")
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     if s[0] == 0.0 or s[k - 1] <= 1e-10 * s[0]:
         raise RankDeficient(f"centered data has numerical rank < k={k}")
-    return orthonormalize(vt[:k].T)
-
-
-def _annihilated(rows: np.ndarray, mapped: np.ndarray) -> bool:
-    """Whether a map left the centered rows below 1e-10 of their own norm.
-
-    Such rows lie outside the map's range, and what is left of them is
-    rounding noise that ``pca_subspace`` would take for a subspace. Rows
-    whose norm overflows (entries ~1e154 and up) are not judged.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw = np.linalg.norm(rows - rows.mean(axis=0))
-        kept = np.linalg.norm(mapped - mapped.mean(axis=0))
-    return bool(kept < 1e-10 * raw < np.inf)
+    return _orthonormalize(vt[:k].T)
 
 
 def average_accuracy(per_batch: list[float] | tuple[float, ...] | np.ndarray) -> float:
@@ -230,13 +232,21 @@ def average_accuracy(per_batch: list[float] | tuple[float, ...] | np.ndarray) ->
 
 
 def init_pipeline(
-    x_s: np.ndarray, y_s: np.ndarray, cfg: PipelineConfig
+    x_s: np.ndarray,
+    y_s: np.ndarray,
+    cfg: PipelineConfig,
+    n_classes: int | None = None,
 ) -> PipelineState:
     """Embed the source once, train the classifier, start with an identity feedback.
 
+    The classifier has ``n_classes`` classes, the stream's class count;
+    None takes one more than the largest source label.
+
     Raises:
         ValueError: from ``StreamBatch``, if ``x_s`` is not a finite 2-D
-            matrix or ``y_s`` does not hold one label per row.
+            matrix or ``y_s`` does not hold one label per row, or if a
+            source label lies outside [0, n_classes).
+        EmptyClassError: if some class has no source row.
     """
     source = StreamBatch(x_s, y_s)
     x_s, y_s = source.features, source.labels
@@ -246,7 +256,9 @@ def init_pipeline(
             f"subspace_dim k={cfg.subspace_dim} must satisfy k <= d/2 for d={d}"
         )
     source_subspace = pca_subspace(x_s, cfg.subspace_dim)
-    classifier = train_source_classifier(x_s, y_s, kind=cfg.classifier_kind)
+    classifier = train_source_classifier(
+        x_s, y_s, kind=cfg.classifier_kind, n_classes=n_classes
+    )
     return PipelineState(
         source_subspace=source_subspace,
         mean_state=None,
@@ -268,12 +280,12 @@ def _aligned_view(
     Linear-margin weights already live on the raw side of the map (score
     w . (x A) = (A w) . x), so they pass unchanged.
     """
-    if classifier.kind == LINEAR_MARGIN:
+    if classifier.kind == LINEAR_MARGIN or not maps:
         return classifier
     centroids = classifier.centroids
     for transform in maps:
         centroids = apply_transform(centroids, transform)
-    return replace(classifier, centroids=centroids)
+    return classifier._with_centroids(centroids)
 
 
 def _baseline_mean_state(state: PipelineState, mean: Subspace) -> MeanState:
@@ -283,9 +295,14 @@ def _baseline_mean_state(state: PipelineState, mean: Subspace) -> MeanState:
     return MeanState(mean=mean, flow=None, count=state.batch_index + 1, step=step)
 
 
+# What a variant's step returns: the advanced mean state, the transform, the
+# subspaces seen so far and the source-to-mean distance.
+Advance = tuple[MeanState, TransformMatrix, tuple[Subspace, ...], float]
+
+
 def _icms_step(
     state: PipelineState, observed: Subspace, cfg: PipelineConfig
-) -> tuple[PipelineState, float]:
+) -> Advance:
     """Compensate (optionally), absorb into the running mean, build the transform."""
     stages = VARIANTS[cfg.variant]
     source, previous = state.source_subspace, state.mean_state
@@ -305,49 +322,48 @@ def _icms_step(
         transform = cumulative_transform(source, mean_state.mean, state.feedback_transform)
     else:
         transform = gfk_transform(source, mean_state.mean)
-    advanced = replace(state, mean_state=mean_state, feedback_transform=transform)
     # Both closed forms carry the (source, mean) decomposition they used.
-    return advanced, float(np.linalg.norm(transform.decomposition.theta))
+    distance = float(np.linalg.norm(transform.decomposition.theta))
+    return mean_state, transform, state.seen_subspaces, distance
 
 
 def _karcher_step(
     state: PipelineState, observed: Subspace, cfg: PipelineConfig
-) -> tuple[PipelineState, float]:
+) -> Advance:
     """Recompute the Karcher mean of every subspace seen so far."""
     seen = state.seen_subspaces + (observed,)
     result = karcher_mean(seen, tol=cfg.karcher_tol, max_iter=cfg.karcher_max_iter)
     mean_state = _baseline_mean_state(state, result.subspace)
     transform = gfk_transform(state.source_subspace, mean_state.mean)
-    advanced = replace(
-        state, mean_state=mean_state, feedback_transform=transform, seen_subspaces=seen
-    )
-    return advanced, float(np.linalg.norm(transform.decomposition.theta))
+    distance = float(np.linalg.norm(transform.decomposition.theta))
+    return mean_state, transform, seen, distance
 
 
 def _average_step(
     state: PipelineState, observed: Subspace, cfg: PipelineConfig
-) -> tuple[PipelineState, float]:
+) -> Advance:
     """Average the per-batch transforms: the mean lives on the matrices."""
     n = state.batch_index + 1
     g_batch = gfk_transform(state.source_subspace, observed)
     transform = incremental_average_transform(state.feedback_transform, g_batch, n)
     mean_state = _baseline_mean_state(state, observed)
-    advanced = replace(state, mean_state=mean_state, feedback_transform=transform)
     # The source-to-observed distance, from the batch transform's angles.
-    return advanced, float(np.linalg.norm(g_batch.decomposition.theta))
+    distance = float(np.linalg.norm(g_batch.decomposition.theta))
+    return mean_state, transform, state.seen_subspaces, distance
 
 
 @dataclass(frozen=True)
 class Stages:
     """What one variant runs.
 
-    ``step(state, observed, cfg)`` advances the mean, builds the transform
-    and returns the advanced state with the source-to-mean distance;
-    ``None`` classifies the raw rows with no alignment. The three flags
-    switch the optional stages, which only the icms step has.
+    ``step(state, observed, cfg)`` advances the mean and builds the
+    transform; it returns them with the subspaces seen so far and the
+    source-to-mean distance (an ``Advance``). ``None`` classifies the raw
+    rows with no alignment. The three flags switch the optional stages,
+    which only the icms step has.
     """
 
-    step: Callable[..., tuple[PipelineState, float]] | None
+    step: Callable[..., Advance] | None
     feedback: bool = False
     prediction: bool = False
     cumulative: bool = False
@@ -401,33 +417,34 @@ def process_batch(
     n = state.batch_index + 1
     # x is the batch carried through the transforms in maps, in order.
     x, maps = batch.features, ()
-    if stages.step is None:
-        advanced, dist_source, dist_step = state, 0.0, 0.0
-    else:
+    mean_state, transform = state.mean_state, state.feedback_transform
+    seen, dist_source, dist_step = state.seen_subspaces, 0.0, 0.0
+    if stages.step is not None:
         if batch.size <= cfg.subspace_dim:
             raise RankDeficient(
                 f"{batch.size} rows give a centered scatter of rank at most "
                 f"{batch.size - 1} < k={cfg.subspace_dim}"
             )
+        reference = None
         if stages.feedback:
-            x = apply_transform(x, state.feedback_transform)
-            maps = (state.feedback_transform,)
+            # PCA refuses the fed-back rows if the transform left only
+            # rounding noise of the raw rows' centered norm.
+            with np.errstate(over="ignore", invalid="ignore"):
+                reference = np.linalg.norm(x - x.mean(axis=0))
+            x = apply_transform(x, transform)
+            maps = (transform,)
         try:
-            if stages.feedback and _annihilated(batch.features, x):
-                raise RankDeficient(
-                    "the fed-back transform maps the centered rows to rounding noise"
-                )
-            observed = pca_subspace(x, cfg.subspace_dim)
-            advanced, dist_source = stages.step(state, observed, cfg)
+            observed = pca_subspace(x, cfg.subspace_dim, reference)
+            mean_state, transform, seen, dist_source = stages.step(state, observed, cfg)
         except CutLocusError as err:
             logger.warning("batch %d skipped at the cut locus: %s", n, err)
             return None, None, state
         except RankDeficient as err:
             logger.warning("batch %d skipped as rank deficient: %s", n, err)
             return None, None, state
-        dist_step = advanced.mean_state.step
-        x = apply_transform(x, advanced.feedback_transform)
-        maps += (advanced.feedback_transform,)
+        dist_step = mean_state.step
+        x = apply_transform(x, transform)
+        maps += (transform,)
     y_hat = classify(_aligned_view(state.classifier, maps), x)
     classifier = state.classifier
     if cfg.adaptive_classifier:
@@ -443,6 +460,12 @@ def process_batch(
         dist_mean_step=dist_step,
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
     )
-    return y_hat, accuracy, replace(
-        advanced, classifier=classifier, batch_index=n, record=record
+    return y_hat, accuracy, PipelineState(
+        source_subspace=state.source_subspace,
+        mean_state=mean_state,
+        feedback_transform=transform,
+        classifier=classifier,
+        batch_index=n,
+        record=record,
+        seen_subspaces=seen,
     )

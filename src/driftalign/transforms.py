@@ -72,7 +72,8 @@ class TransformMatrix:
     (the identity, the running average of matrices) ``core`` is G itself,
     and ``decomposition`` is None. ``g`` is the dense matrix in either
     form, built from the factors on first access and cached. ``core`` and
-    ``left`` are stored as read-only copies.
+    ``left`` are read-only: the constructor copies the caller's arrays,
+    and the closed forms' own factors are frozen in place.
     """
 
     core: np.ndarray
@@ -80,25 +81,35 @@ class TransformMatrix:
     decomposition: PrincipalDecomposition | None = None
 
     def __post_init__(self):
-        core = np.array(self.core, dtype=float, copy=True, order="C")
-        if core.ndim != 2 or core.shape[0] != core.shape[1]:
-            raise ValueError(f"transform core must be square, got shape {core.shape}")
+        core = np.ascontiguousarray(self.core, dtype=float)
         left = self.left
         if left is not None:
-            left = np.array(left, dtype=float, copy=True, order="C")
-            if left.ndim != 2 or left.shape[1] != core.shape[0]:
-                raise ValueError(
-                    f"factor shapes {left.shape} and {core.shape} do not chain"
-                )
-        if not all(np.isfinite(a).all() for a in (core, left) if a is not None):
-            raise ValueError("transform contains non-finite entries")
-        if np.abs(core - core.T).max() > 1e-9:
-            raise ValueError("transform core is not symmetric within 1e-9")
-        core = 0.5 * (core + core.T)
-        for name, array in {"core": core, "left": left}.items():
+            left = np.array(left, dtype=float, order="C")
+        _check_factors(core, left)
+        # The symmetrized core is a new array, so the caller's is not kept.
+        self._store(0.5 * (core + core.T), left, self.decomposition)
+
+    @classmethod
+    def _factored(
+        cls, core: np.ndarray, left: np.ndarray, decomposition: PrincipalDecomposition
+    ) -> "TransformMatrix":
+        """Wrap factors built here, with an exactly symmetric core.
+
+        The constructor's checks run; the two C-contiguous float arrays
+        are frozen in place, not copied, so no caller may hold them.
+        """
+        _check_factors(core, left)
+        transform = object.__new__(cls)
+        transform._store(core, left, decomposition)
+        return transform
+
+    def _store(self, core, left, decomposition) -> None:
+        for array in (core, left):
             if array is not None:
                 array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "decomposition", decomposition)
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -116,6 +127,18 @@ class TransformMatrix:
     @classmethod
     def identity(cls, d: int) -> "TransformMatrix":
         return cls(np.eye(d))
+
+
+def _check_factors(core: np.ndarray, left: np.ndarray | None) -> None:
+    """Refuse factors that do not make a finite symmetric d x d matrix."""
+    if core.ndim != 2 or core.shape[0] != core.shape[1]:
+        raise ValueError(f"transform core must be square, got shape {core.shape}")
+    if left is not None and (left.ndim != 2 or left.shape[1] != core.shape[0]):
+        raise ValueError(f"factor shapes {left.shape} and {core.shape} do not chain")
+    if not all(np.isfinite(a).all() for a in (core, left) if a is not None):
+        raise ValueError("transform contains non-finite entries")
+    if np.abs(core - core.T).max() > 1e-9:
+        raise ValueError("transform core is not symmetric within 1e-9")
 
 
 def _validate_angles(theta: np.ndarray, name: str = "theta") -> np.ndarray:
@@ -187,11 +210,14 @@ def _sandwich(
     k = pd.h.shape[1]
     left = np.hstack([pd.pu1, pd.h])
     core = np.zeros((2 * k, 2 * k))
-    i = np.arange(k)
-    core[i, i] = b1
-    core[i, i + k] = core[i + k, i] = b2
-    core[i + k, i + k] = b3
-    return TransformMatrix(core, left, pd)
+    # The three block diagonals, as strided slices of the flat core: entry
+    # (r, c) sits at 2k r + c, so each diagonal steps by 2k + 1.
+    flat, step, half = core.reshape(-1), 2 * k + 1, 2 * k * k
+    flat[:half:step] = b1              # (i, i)
+    flat[k:half:step] = b2             # (i, i + k)
+    flat[half::step] = b2              # (i + k, i)
+    flat[half + k :: step] = b3        # (i + k, i + k)
+    return TransformMatrix._factored(core, left, pd)
 
 
 def gfk_transform(p_source: Subspace, p_target: Subspace) -> TransformMatrix:

@@ -127,6 +127,32 @@ class TestStoredArrays:
         assert direct.centroids[0, 0] != 99.0
 
 
+class TestConstructor:
+    def test_unknown_kind_rejected(self):
+        # classify would otherwise treat any kind but linear-margin as
+        # nearest-class-mean.
+        with pytest.raises(ValueError, match="unknown classifier kind 'linear'"):
+            Classifier("linear", np.eye(2, 3))
+
+    def test_centroids_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="centroids must be 2-D"):
+            Classifier(NEAREST_CLASS_MEAN, np.ones(3))
+
+    def test_weights_must_match_centroids(self):
+        with pytest.raises(ValueError, match="do not match centroids"):
+            Classifier("linear-margin", np.eye(2, 3), np.eye(2, 4))
+
+    def test_centroids_built_here_keep_their_shape(self, rng):
+        # The update's own centroids are frozen in place; a shape that does
+        # not match the classifier is refused, not stored.
+        x, y = two_blob_data(rng)
+        clf = train_source_classifier(x, y, kind="linear-margin")
+        updated = update_classifier(clf, x, y, 0.5)
+        assert updated.kind == clf.kind and updated.weights is clf.weights
+        with pytest.raises(DimensionMismatch):
+            clf._with_centroids(np.zeros((2, x.shape[1] + 1)))
+
+
 class TestUpdate:
     @pytest.mark.parametrize("rate", [0.0, 0.1, 1.0])
     def test_matches_the_per_class_loop(self, rng, rate):

@@ -113,9 +113,9 @@ def test_basis_of_each_subspace_is_immaterial(cfg, monkeypatch):
     pca = pipeline.pca_subspace
     rotations = np.random.default_rng(2)
 
-    def rotated_pca(x, k):
+    def rotated_pca(x, k, reference=None):
         r, _ = np.linalg.qr(rotations.standard_normal((k, k)))
-        return orthonormalize(pca(x, k).basis @ r)
+        return orthonormalize(pca(x, k, reference).basis @ r)
 
     monkeypatch.setattr(pipeline, "pca_subspace", rotated_pca)
     assert_same_run(run(cfg), plain_run(cfg))

@@ -73,6 +73,18 @@ class TestSubspace:
         assert s.basis[0, 0] == 1.0
         assert not s.basis.flags.writeable
 
+    def test_library_points_are_frozen_not_shared(self, rng):
+        # A geodesic point's basis is built here: it is read-only and
+        # shares no memory with the decomposition it came from.
+        p1, p2 = random_subspace(12, 3, rng), random_subspace(12, 3, rng)
+        pd = geodesic(p1, p2)
+        point = geodesic_point(pd, 0.4)
+        assert not point.basis.flags.writeable
+        for array in (pd.pu1, pd.h, p1.basis, p2.basis):
+            assert not np.shares_memory(point.basis, array)
+        with pytest.raises(ValueError, match="k=3 must satisfy k <= d/2"):
+            Subspace._orthonormal(np.eye(5)[:, :3])
+
     def test_results_pass_the_public_check(self, rng):
         for m in (rng.standard_normal((30, 5)), np.eye(12)[:, :6]):
             s = orthonormalize(m)

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from driftalign import (
+    Classifier,
     ConfigError,
     DimensionMismatch,
     DriftParams,
+    EmptyClassError,
     PipelineConfig,
     RankDeficient,
     Stream,
     StreamBatch,
+    Subspace,
+    TransformMatrix,
     apply_transform,
     average_accuracy,
     classify,
@@ -181,6 +185,36 @@ class TestPcaSubspace:
         assert calls == [(20, 30)]
 
 
+    @pytest.mark.parametrize("n, d, k", PCA_SHAPES)
+    def test_reference_boundary(self, rng, n, d, k):
+        # Centered rows below 1e-10 of the reference norm are what a map
+        # left of rows outside its range: rounding noise, not a subspace.
+        x = rng.standard_normal((n, d)) * np.linspace(3.0, 1.0, d) + 2.0
+        x /= np.linalg.norm(x - x.mean(axis=0))
+        with pytest.raises(
+            RankDeficient,
+            match="^the fed-back transform maps the centered rows to rounding noise$",
+        ):
+            pca_subspace(1e-11 * x, k, reference=1.0)
+        kept = pca_subspace(1e-9 * x, k, reference=1.0)
+        assert np.array_equal(kept.basis, pca_subspace(1e-9 * x, k).basis)
+
+    def test_overflowing_reference_is_not_judged(self, rng):
+        x = 1e-11 * rng.standard_normal((20, 30))
+        kept = pca_subspace(x, 5, reference=np.inf)
+        assert np.array_equal(kept.basis, pca_subspace(x, 5).basis)
+
+    def test_no_reference_judges_nothing(self, rng):
+        # None is the two-argument call: tiny rows are a subspace, and a
+        # rank-deficient scatter keeps its own message.
+        x = 1e-200 * rng.standard_normal((20, 30))
+        assert np.array_equal(
+            pca_subspace(x, 5, reference=None).basis, pca_subspace(x, 5).basis
+        )
+        flat = np.tile(rng.standard_normal((1, 30)), (20, 1))
+        with pytest.raises(RankDeficient, match="numerical rank"):
+            pca_subspace(flat, 2, reference=None)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_rows_rejected_without_hanging(self, value):
         # Either value turns the Gram matrix non-finite, which sends the
@@ -249,6 +283,33 @@ class TestInitPipeline:
         x[7, 2] = value
         with pytest.raises(ValueError, match="non-finite"):
             init_pipeline(x, y, PipelineConfig(subspace_dim=3))
+
+    def test_class_count_comes_from_the_caller(self, rng):
+        # A 3-class stream whose source has no class-2 row is refused
+        # instead of getting a 2-class model that never predicts class 2.
+        x = rng.standard_normal((30, 10))
+        y = np.array([0, 1] * 15)
+        cfg = PipelineConfig(subspace_dim=2)
+        assert init_pipeline(x, y, cfg, n_classes=2).classifier.n_classes == 2
+        assert init_pipeline(x, y, cfg).classifier.n_classes == 2
+        with pytest.raises(EmptyClassError, match="class 2 has no training samples"):
+            init_pipeline(x, y, cfg, n_classes=3)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 1\)"):
+            init_pipeline(x, y, cfg, n_classes=1)
+
+    def test_run_experiment_takes_the_class_count_of_the_stream(self, rng):
+        x = rng.standard_normal((30, 10))
+        y = np.array([0, 1] * 15)
+        batches = (StreamBatch(features=rng.standard_normal((30, 10))),)
+        cfg = PipelineConfig(subspace_dim=2)
+
+        def stream(n_classes):
+            params = {"n_classes": n_classes}
+            return Stream(source_x=x, source_y=y, batches=batches, params=params)
+
+        assert run_experiment(stream(2), cfg).summary["batches"] == 1
+        with pytest.raises(EmptyClassError, match="class 2"):
+            run_experiment(stream(3), cfg)
 
     def test_label_count_must_match_rows(self, rng):
         x, y = gaussian_source(rng)
@@ -622,9 +683,9 @@ class TestProcessBatch:
         pca = pipeline.pca_subspace
         rotations = np.random.default_rng(11)
 
-        def rotated_pca(x, k):
+        def rotated_pca(x, k, reference=None):
             q, _ = np.linalg.qr(rotations.standard_normal((k, k)))
-            return orthonormalize(pca(x, k).basis @ q)
+            return orthonormalize(pca(x, k, reference).basis @ q)
 
         monkeypatch.setattr(pipeline, "pca_subspace", rotated_pca)
         rotated = run_experiment(stream, replace(cfg, variant="karcher")).records
@@ -715,6 +776,79 @@ def test_state_arrays_are_read_only(variant, kind):
         assert "state.feedback_transform.decomposition.h" in arrays
     writable = [path for path, array in arrays.items() if array.flags.writeable]
     assert writable == []
+
+
+def _orthonormal_columns(rng, order="C"):
+    q, _ = np.linalg.qr(rng.standard_normal((12, 3)))
+    return np.array(q, order=order)
+
+
+def _symmetric(rng, n):
+    a = rng.standard_normal((n, n))
+    return a + a.T
+
+
+# Each case calls one public constructor and returns the arrays the caller
+# passed and the arrays the value stores.
+def _case_subspace(rng):
+    b = _orthonormal_columns(rng)
+    return [b], [Subspace(b).basis]
+
+
+def _case_orthonormalize(rng, order="C", orthonormal=True):
+    if orthonormal:
+        b = _orthonormal_columns(rng, order)
+    else:
+        b = rng.standard_normal((12, 3))
+    return [b], [orthonormalize(b).basis]
+
+
+def _case_transform(rng, factored=True):
+    if not factored:
+        g = _symmetric(rng, 12)
+        return [g], [TransformMatrix(g).core]
+    core, left = _symmetric(rng, 4), rng.standard_normal((12, 4))
+    transform = TransformMatrix(core, left)
+    return [core, left], [transform.core, transform.left]
+
+
+def _case_classifier(rng):
+    centroids, weights = rng.standard_normal((2, 12)), rng.standard_normal((2, 12))
+    classifier = Classifier("linear-margin", centroids, weights)
+    return [centroids, weights], [classifier.centroids, classifier.weights]
+
+
+def _case_update(rng):
+    x, y_hat = rng.standard_normal((8, 12)), np.array([0, 1] * 4)
+    start = Classifier("nearest-class-mean", np.zeros((2, 12)))
+    return [x, y_hat], [update_classifier(start, x, y_hat, 0.5).centroids]
+
+
+CALLER_ARRAY_CASES = {
+    "Subspace": _case_subspace,
+    "orthonormalize-fast-path": _case_orthonormalize,
+    "orthonormalize-fast-path-fortran": lambda rng: _case_orthonormalize(rng, "F"),
+    "orthonormalize-svd": lambda rng: _case_orthonormalize(rng, orthonormal=False),
+    "TransformMatrix-factored": _case_transform,
+    "TransformMatrix-dense": lambda rng: _case_transform(rng, factored=False),
+    "Classifier": _case_classifier,
+    "update_classifier": _case_update,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CALLER_ARRAY_CASES))
+def test_public_constructors_keep_no_caller_array(case, rng):
+    # A public constructor copies what the caller passes: the caller's
+    # arrays stay writable, and writing into them changes no stored value.
+    passed, stored = CALLER_ARRAY_CASES[case](rng)
+    before = [array.copy() for array in stored]
+    for array in passed:
+        assert array.flags.writeable
+        assert not any(np.shares_memory(array, kept) for kept in stored)
+        array += 1
+    for kept, expected in zip(stored, before):
+        assert np.array_equal(kept, expected)
+        assert not kept.flags.writeable
 
 
 SOAK_BATCHES = 1000

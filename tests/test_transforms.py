@@ -346,6 +346,36 @@ class TestTransformMatrix:
         g = TransformMatrix(m + m.T + 1e-12 * rng.standard_normal((4, 4)))
         assert np.array_equal(g.g, g.g.T)
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_sandwich_core_is_the_block_diagonal_build(self, rng, k):
+        # The strided writes put each block's diagonal where np.block does,
+        # and the closed form's own factors are frozen, not shared.
+        from driftalign.transforms import _sandwich
+
+        p1, p2 = random_subspace(4 * k, k, rng), random_subspace(4 * k, k, rng)
+        pd = principal_decomposition(p1, p2)
+        b1, b2, b3 = blocks = lambda_blocks(pd.theta)
+        transform = _sandwich(pd, blocks)
+        expected = np.block([[np.diag(b1), np.diag(b2)], [np.diag(b2), np.diag(b3)]])
+        assert np.array_equal(transform.core, expected)
+        assert np.array_equal(transform.left, np.hstack([pd.pu1, pd.h]))
+        assert transform.decomposition is pd
+        for array in (transform.core, transform.left):
+            assert not array.flags.writeable
+            assert not np.shares_memory(array, pd.pu1)
+            assert not np.shares_memory(array, pd.h)
+
+    def test_sandwich_keeps_the_constructor_checks(self, rng):
+        from driftalign.transforms import _sandwich
+
+        p1, p2 = random_subspace(12, 3, rng), random_subspace(12, 3, rng)
+        pd = principal_decomposition(p1, p2)
+        b1, b2, b3 = lambda_blocks(pd.theta)
+        with pytest.raises(ValueError, match="non-finite"):
+            _sandwich(pd, (b1, b2, np.full(3, np.inf)))
+        with pytest.raises(ValueError, match="non-finite"):
+            _sandwich(replace(pd, h=np.full_like(pd.h, np.nan)), (b1, b2, b3))
+
 
 def dense_closed_form(ps, u3, h, blocks):
     """The d x d build L @ C @ L.T the factored form replaces."""
