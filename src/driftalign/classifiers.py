@@ -116,22 +116,27 @@ def train_source_classifier(
     Raises:
         EmptyClassError: if some class in [0, n_classes) has no samples.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown classifier kind {kind!r}; expected one of {KINDS}")
     x_s = np.asarray(x_s, dtype=float)
     y_s = np.asarray(y_s)
     c = int(n_classes if n_classes is not None else y_s.max() + 1)
-    y_s = _validate_labels(y_s, c)
-
-    centroids = np.zeros((c, x_s.shape[1]))
-    for j in range(c):
-        rows = x_s[y_s == j]
-        if rows.shape[0] == 0:
-            raise EmptyClassError(f"class {j} has no training samples")
-        centroids[j] = rows.mean(axis=0)
-
+    # A full-rate update of a zero start, which refuses an unknown kind first.
+    start = Classifier(kind=kind, centroids=np.zeros((c, x_s.shape[1])))
+    centroids = update_classifier(start, x_s, y_s, 1.0).centroids
+    counts = np.bincount(y_s, minlength=c)
+    if not counts.all():
+        raise EmptyClassError(f"class {np.argmin(counts)} has no training samples")
     weights = _fit_passive_aggressive(x_s, y_s, c) if kind == LINEAR_MARGIN else None
     return Classifier(kind=kind, centroids=centroids, weights=weights)
+
+
+def _rows(classifier: Classifier, x: np.ndarray) -> np.ndarray:
+    """x as float rows of the classifier's width, or DimensionMismatch."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != classifier.dim:
+        raise DimensionMismatch(
+            f"rows of shape {x.shape} do not match classifier dim {classifier.dim}"
+        )
+    return x
 
 
 def classify(classifier: Classifier, x: np.ndarray) -> np.ndarray:
@@ -140,11 +145,7 @@ def classify(classifier: Classifier, x: np.ndarray) -> np.ndarray:
     Nearest-class-mean takes the argmin of Euclidean distances, ties broken
     toward the lowest class index; linear-margin takes the argmax score.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != classifier.dim:
-        raise DimensionMismatch(
-            f"queries of shape {x.shape} do not match classifier dim {classifier.dim}"
-        )
+    x = _rows(classifier, x)
     if classifier.kind == LINEAR_MARGIN:
         scores = x @ classifier.weights.T
         return np.argmax(scores, axis=1)
@@ -161,15 +162,15 @@ def update_classifier(
     For every class j present in ``y_hat`` with batch mean m_j:
     centroid_j <- (1 - rate) * centroid_j + rate * m_j. Classes absent from
     the batch are untouched, and rate = 0 returns the classifier unchanged
-    once the labels are checked.
+    once the rows and labels are checked.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"update rate must be in [0, 1], got {rate}")
+    x = _rows(classifier, x)
     c = classifier.n_classes
     y_hat = _validate_labels(y_hat, c)
     if rate == 0.0:
         return classifier
-    x = np.asarray(x, dtype=float)
     # Per-class row counts and sums, the sums as one (c x n) @ (n x d) product.
     counts = np.bincount(y_hat, minlength=c)
     sums = (y_hat == np.arange(c)[:, None]) @ x

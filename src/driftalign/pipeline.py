@@ -26,7 +26,6 @@ import numpy as np
 
 from .classifiers import (
     KINDS,
-    LINEAR_MARGIN,
     NEAREST_CLASS_MEAN,
     Classifier,
     classify,
@@ -275,12 +274,12 @@ def _aligned_view(
 
     Source and target must be transformed consistently for the alignment
     scale to be immaterial to nearest-class-mean decisions, so the stored
-    (raw-space) centroids are passed through the batch's alignment maps, in
-    order, at decision time; the d x d product of the maps is never formed.
-    Linear-margin weights already live on the raw side of the map (score
-    w . (x A) = (A w) . x), so they pass unchanged.
+    (raw-space) centroids of every kind are passed through the batch's
+    alignment maps, in order, at decision time; the d x d product of the
+    maps is never formed. Linear-margin weights already live on the raw
+    side of the map (score w . (x A) = (A w) . x), so they pass unchanged.
     """
-    if classifier.kind == LINEAR_MARGIN or not maps:
+    if not maps:
         return classifier
     centroids = classifier.centroids
     for transform in maps:

@@ -59,8 +59,18 @@ class TestTrain:
 
     def test_unknown_kind_rejected(self, rng):
         x, y = two_blob_data(rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown classifier kind 'decision"):
             train_source_classifier(x, y, kind="decision-forest")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n, d", [(400, 30), (600, 20)])
+    def test_centroids_are_a_full_rate_update(self, rng, kind, n, d):
+        # On the second shape a per-class mean of its own would round
+        # differently from the update's one product.
+        x, y = two_blob_data(rng, n=n, d=d, noise=1.0)
+        clf = train_source_classifier(x, y, kind=kind)
+        updated = update_classifier(clf, x, y, 1.0)
+        assert np.array_equal(updated.centroids, clf.centroids)
 
 
 class TestClassify:
@@ -186,6 +196,13 @@ class TestUpdate:
             update_classifier(clf, rng.standard_normal((2, 4)), np.array([0.5, 7.0]), 0.0)
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
             update_classifier(clf, rng.standard_normal((2, 4)), np.array([0, 7]), 0.0)
+
+    @pytest.mark.parametrize("rate", [0.5, 0.0])
+    @pytest.mark.parametrize("x", [np.ones((4, 1)), np.ones(5)], ids=["narrow", "1-D"])
+    def test_rows_of_another_shape_rejected(self, x, rate):
+        clf = Classifier(NEAREST_CLASS_MEAN, np.zeros((2, 5)))
+        with pytest.raises(DimensionMismatch):
+            update_classifier(clf, x, np.array([0, 1, 0, 1]), rate)
 
     def test_zero_rate_is_identity(self, rng):
         x, y = two_blob_data(rng, noise=0.4)

@@ -461,6 +461,12 @@ def changed(*tokens, context=SYNTH):
     return list(context), [*context, *tokens]
 
 
+def on_csv(tail):
+    """A command-line tail on the synthetic stream, moved to the CSV stream."""
+    assert tail[: len(SYNTH)] == SYNTH
+    return [*CSV, *tail[len(SYNTH):]]
+
+
 DATA_CASES = {
     "--seed": changed("--seed", "1"),
     "--data": (SYNTH, CSV),
@@ -595,6 +601,18 @@ def cli_output(tmp_path, monkeypatch, capsys):
     return output
 
 
+def unread_flags(cli_output, base, pairs):
+    """The flags whose (without, with) command-line tails give equal output."""
+    unread = []
+    for flag, (without, with_flag) in pairs.items():
+        before = cli_output([*base, *without])
+        after = cli_output([*base, *with_flag])
+        assert before[0] == after[0] == 0, flag
+        if before == after:
+            unread.append(flag)
+    return unread
+
+
 @pytest.mark.parametrize("command", sorted(CLI_CASES))
 class TestEveryFlagIsRead:
     def test_every_flag_changes_the_output(self, command, cli_output):
@@ -605,14 +623,19 @@ class TestEveryFlagIsRead:
         reference = cli_output([*base, *SYNTH])
         assert reference[0] == 0
         assert cli_output([*base, *SYNTH]) == reference  # deterministic
-        unread = []
-        for flag, (without, with_flag) in case["flags"].items():
-            before = cli_output([*base, *without])
-            after = cli_output([*base, *with_flag])
-            assert before[0] == after[0] == 0, flag
-            if before == after:
-                unread.append(flag)
-        assert unread == []
+        assert unread_flags(cli_output, base, case["flags"]) == []
+
+    def test_every_run_flag_changes_the_output_on_csv(self, command, cli_output):
+        # The data flags keep their own cases, each on the source kind that
+        # reads it; --seed seeds only the generator.
+        case = CLI_CASES[command]
+        pairs = {
+            flag: (on_csv(without), on_csv(with_flag))
+            for flag, (without, with_flag) in case["flags"].items()
+            if flag not in DATA_CASES
+        }
+        assert pairs
+        assert unread_flags(cli_output, case["base"], pairs) == []
 
     def test_dropped_flags_are_usage_errors(self, command, cli_output):
         case = CLI_CASES[command]
